@@ -107,9 +107,24 @@ def _trajectory_modes(field: DampingField, starts: list[PhasePoint]):
 
 
 def _field_along(amp, om, As, ts):
-    """a(x_t) for every start and every time in ts: shape (B, Q, n, n)."""
+    """a(x_t) for every start and every time in ts: shape (B, Q, n, n).
+
+    The result is component-major in memory: the time axis has the
+    smallest stride and each n x n matrix is scattered across the buffer
+    (see ``_mm`` for why the products keep this layout).
+    """
     phases = amp[:, :, None] * np.exp(1j * om[:, :, None] * ts[None, None, :])
     return np.einsum("bjq,jmn->bqmn", phases, As, optimize=True)
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched small-matrix product a @ b over the leading (broadcast) axes.
+
+    ``einsum`` loops along the long batch/time axes and keeps the operands'
+    memory layout, whereas ``@`` on the component-major stacks of
+    ``_field_along`` dispatches one gemm per n x n matrix.
+    """
+    return np.einsum("...ij,...jk->...ik", a, b)
 
 
 def _rk4_step_matrices(A_half: np.ndarray, h: float) -> np.ndarray:
@@ -117,29 +132,25 @@ def _rk4_step_matrices(A_half: np.ndarray, h: float) -> np.ndarray:
 
     A_half holds a(x_t) on the half-step grid (2S+1 samples for S steps).
     For the linear ODE G' = -a(t)G the classical RK4 update is
-    G_{m+1} = S_m G_m with
+    G_{m+1} = S_m G_m, computed in its nested stage form
 
-      S = I - (h/6)(B1 + 4 B2 + B3) + (h^2/6)(B2B1 + B2^2 + B3B2)
-            - (h^3/12)(B2^2 B1 + B3 B2^2) + (h^4/24) B3 B2^2 B1,
+      K2 = B2 (h/2 B1 - I),  K3 = B2 (-h/2 K2 - I),  K4 = B3 (-h K3 - I),
+      S  = I + (h/6) (2 (K2 + K3) + K4 - B1),
 
-    where B1, B2, B3 are a at the step's left/mid/right times.
+    where B1, B2, B3 are a at the step's left/mid/right times (K_i is the
+    i-th stage slope divided by G).  This is the expanded polynomial
+    I - (h/6)(B1 + 4 B2 + B3) + ... + (h^4/24) B3 B2^2 B1 with three
+    products instead of six.  The products go through ``_mm`` because the
+    samples are component-major (time innermost in memory).
     """
     B1 = A_half[:, 0:-1:2]
     B2 = A_half[:, 1::2]
     B3 = A_half[:, 2::2]
-    P21 = B2 @ B1
-    P22 = B2 @ B2
-    P32 = B3 @ B2
-    n = A_half.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    S = (
-        eye
-        - (h / 6.0) * (B1 + 4.0 * B2 + B3)
-        + (h * h / 6.0) * (P21 + P22 + P32)
-        - (h**3 / 12.0) * (P22 @ B1 + P32 @ B2)
-        + (h**4 / 24.0) * (P32 @ P21)
-    )
-    return S
+    eye = np.eye(A_half.shape[-1], dtype=complex)
+    K2 = _mm(B2, (0.5 * h) * B1 - eye)
+    K3 = _mm(B2, (-0.5 * h) * K2 - eye)
+    K4 = _mm(B3, (-h) * K3 - eye)
+    return eye + (h / 6.0) * (2.0 * (K2 + K3) + K4 - B1)
 
 
 def plan_steps(T: float, dt: float) -> tuple[int, float]:
@@ -185,13 +196,13 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
             Sg = S[:, : full * window].reshape(B, full, window, n, n)
             W = Sg[:, :, 0]
             for j in range(1, window):
-                W = Sg[:, :, j] @ W
+                W = _mm(Sg[:, :, j], W)
             out.append(W)
         rem = nsteps - full * window
         if rem:
             Wt = S[:, full * window]
             for j in range(1, rem):
-                Wt = S[:, full * window + j] @ Wt
+                Wt = _mm(S[:, full * window + j], Wt)
             out.append(Wt[:, None])
         W_chunk = np.concatenate(out, axis=1) if len(out) > 1 else out[0]
         yield W_chunk
@@ -200,7 +211,7 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
 
 def _compose(left, left_logs, right, right_logs):
     """Scaled batch product (left @ right), renormalized to unit RMS size."""
-    prod = left @ right
+    prod = _mm(left, right)
     scale = np.linalg.norm(prod, axis=(-2, -1)) / math.sqrt(prod.shape[-1])
     return prod / scale[..., None, None], left_logs + right_logs + np.log(scale)
 

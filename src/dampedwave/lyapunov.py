@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cocycle import _compose, _renormalized, _scaled_reduce, plan_steps, window_products
+from .cocycle import _compose, _mm, _renormalized, _scaled_reduce, plan_steps, window_products
 from .damping import DampingField
 from .geometry import PhasePoint, flow, sample_shell
 
@@ -113,7 +113,10 @@ class _StreamStats:
     machine precision), and (iii) a QR-orthonormalized frame whose log
     diagonal accumulates the Lyapunov sums, with a snapshot near T/2.
     Only the window factors (renorm_every steps each) are ever inverted,
-    never a product of several windows.  ``want_bounds`` builds (i) and
+    never a product of several windows.  The frame loop runs one product
+    and one QR per window; the R diagonals of a chunk are logged and summed
+    once per chunk, and the snapshot is the running sum at the first window
+    end at or after T/2.  ``want_bounds`` builds (i) and
     (ii), ``want_qr`` builds (iii); the attributes of an accumulator that
     was not built are None.
     """
@@ -130,7 +133,7 @@ class _StreamStats:
         Q = units.copy()
         qr_logs = np.zeros((B, n))
         rank_ok = True
-        steps_done = 0
+        windows_done = 0
         half_logs, half_time = None, None
         for W in window_products(field, points, T, dt, window=renorm_every):
             if want_bounds:
@@ -140,18 +143,26 @@ class _StreamStats:
                                                *_scaled_reduce(np.linalg.inv(W[:, ::-1])))
             if not want_qr:
                 continue
-            for i in range(W.shape[1]):
-                Q = W[:, i] @ Q
-                Q, R = np.linalg.qr(Q)
-                diag = np.abs(np.einsum("bii->bi", R))
-                if np.any(diag == 0.0):
-                    rank_ok = False
-                    diag = np.maximum(diag, 1e-300)
-                qr_logs += np.log(diag)
-                steps_done = min(steps_done + renorm_every, M)
-                if half_logs is None and steps_done * h >= 0.5 * T:
-                    half_logs = qr_logs.copy()
-                    half_time = steps_done * h
+            k = W.shape[1]
+            diag = np.empty((k, B, n), dtype=complex)
+            for i in range(k):
+                Q, R = np.linalg.qr(_mm(W[:, i], Q))
+                diag[i] = np.einsum("bii->bi", R)
+            diag = np.abs(diag)
+            if np.any(diag == 0.0):
+                rank_ok = False
+                diag = np.maximum(diag, 1e-300)
+            # sequential sums from the running total, as one window at a time
+            cums = np.cumsum(np.concatenate([qr_logs[None], np.log(diag)]), axis=0)
+            qr_logs = cums[-1]
+            if half_logs is None:
+                ends = np.minimum(renorm_every * np.arange(windows_done + 1,
+                                                           windows_done + k + 1), M)
+                hit = np.flatnonzero(ends * h >= 0.5 * T)
+                if hit.size:
+                    half_logs = cums[hit[0] + 1].copy()
+                    half_time = float(ends[hit[0]] * h)
+            windows_done += k
         self.T = T
         self.n = n
         self.points = points
@@ -294,6 +305,8 @@ def exterior_sums(field: DampingField, point: PhasePoint, T: float,
     scaled product's top singular value is read off, which stays accurate
     even when sigma_i/sigma_1 underflows a direct SVD of G_T.
     """
+    if T <= 0:
+        raise ValueError("T must be positive")
     n = field.n
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
@@ -321,6 +334,8 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     c_minus <= -lambda_plus <= -lambda_minus <= c_plus meaningful without
     sampling noise between the two estimates.
     """
+    if T <= 0:
+        raise ValueError("T must be positive")
     if m < 1:
         raise ValueError("need at least one sample")
     points = _shell_points(field, m, seed)

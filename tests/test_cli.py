@@ -90,6 +90,18 @@ def test_lyapunov_command(tmp_path):
     assert doc["c_minus"] <= doc["c_plus"]
 
 
+
+def test_lyapunov_rejects_zero_horizon(tmp_path, capsys):
+    cfg = {
+        "manifold": {"kind": "circle", "d": 1},
+        "damping": {"generator": {"n": 2, "K": 1, "amplitude": 0.5, "seed": 3}},
+        "lyapunov": {"T": 0, "dt": 0.002, "samples": 4, "seed": 0},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lyapunov.json").exists()
+
 def test_decay_command_and_residual_gate(tmp_path):
     cfg = {
         "manifold": {"kind": "circle", "d": 1},

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from dampedwave import cocycle
 from dampedwave.cocycle import (
     ScaledMatrix,
+    _field_along,
+    _rk4_step_matrices,
+    _trajectory_modes,
     cocycle_residual,
     line_integral,
     propagate,
     propagate_many,
     scalar_closed_form,
+    window_products,
 )
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
@@ -166,3 +171,55 @@ def test_scaled_matrix_algebra():
     assert svals[0] >= svals[-1]
     assert B.log_abs_det() == pytest.approx(float(np.log(abs(np.linalg.det(M))))
                                             - 2 * math.log(np.linalg.norm(M, 2)) + 6.0)
+
+
+def expanded_rk4_steps(A_half, h):
+    # the classical RK4 transfer polynomial, expanded, with `@` on C-contiguous copies
+    B1 = np.ascontiguousarray(A_half[:, 0:-1:2])
+    B2 = np.ascontiguousarray(A_half[:, 1::2])
+    B3 = np.ascontiguousarray(A_half[:, 2::2])
+    P21, P22, P32 = B2 @ B1, B2 @ B2, B3 @ B2
+    eye = np.eye(A_half.shape[-1])
+    return (eye - (h / 6.0) * (B1 + 4.0 * B2 + B3)
+            + (h * h / 6.0) * (P21 + P22 + P32)
+            - (h**3 / 12.0) * (P22 @ B1 + P32 @ B2)
+            + (h**4 / 24.0) * (P32 @ P21))
+
+
+def half_step_samples(field, starts, steps, h):
+    amp, om, As = _trajectory_modes(field, starts)
+    return _field_along(amp, om, As, 0.5 * h * np.arange(2 * steps + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rk4_step_matrices_match_expanded_polynomial(n):
+    f = random_field(n, 2, amplitude=1.3, seed=40 + n)
+    h = 0.2  # large enough that the h^3 and h^4 terms are far above round-off
+    A_half = half_step_samples(f, sample_shell(3, 0.5, seed=n), 150, h)
+    ref = expanded_rk4_steps(A_half, h)
+    bound = 1e-14 * (1.0 + np.linalg.norm(ref, axis=(-2, -1)))
+    for A in (A_half, np.ascontiguousarray(A_half)):
+        S = _rk4_step_matrices(A, h)
+        assert S.shape == ref.shape
+        assert np.all(np.linalg.norm(S - ref, axis=(-2, -1)) <= bound)
+
+
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("window", [1, 7, 32])
+def test_window_products_match_plain_loop(monkeypatch, B, window):
+    # 100 steps: windows of 7 and 32 leave a shorter final window, and the
+    # small budget splits the run into several chunks
+    monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", 96)
+    f = random_field(3, 1, amplitude=0.9, seed=12)
+    starts = sample_shell(B, 0.5, seed=7)
+    T, dt = 1.0, 1e-2
+    steps = expanded_rk4_steps(half_step_samples(f, starts, 100, dt), dt)
+    ref = []
+    for s0 in range(0, 100, window):
+        W = steps[:, s0]
+        for j in range(s0 + 1, min(s0 + window, 100)):
+            W = steps[:, j] @ W
+        ref.append(W)
+    got = np.concatenate(list(window_products(f, starts, T, dt, window=window)), axis=1)
+    assert got.shape == (B, len(ref), 3, 3)
+    assert np.allclose(got, np.stack(ref, axis=1), rtol=0.0, atol=1e-13)

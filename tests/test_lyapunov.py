@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampedwave import cocycle
-from dampedwave.cocycle import line_integral
+from dampedwave.cocycle import line_integral, plan_steps
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
 from dampedwave.lyapunov import (
+    _StreamStats,
     band_estimates,
     essential_bounds,
     exterior_sums,
@@ -135,6 +138,62 @@ def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
     monkeypatch.undo()
     est = band_estimates(f, T=T, m=1, dt=1e-3, seed=0)
     assert -est.lambda_minus <= est.c_plus + 3.0 / T
+
+
+def stream_rates(field, points, T, dt, renorm_every):
+    # per-point rates, stacked in the order of `points`
+    stats = _StreamStats(field, points, T, dt, renorm_every)
+    return {
+        "top": stats.log_norm_top() / T,
+        "bottom": stats.log_norm_bottom() / T,
+        "exponents": stats.exponents(),
+        "half": stats.exponents_half(),
+        "half_time": np.full(len(points), stats.half_time),
+    }
+
+
+def joined(parts):
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 1000), m=st.integers(1, 4),
+       T=st.floats(0.05, 5.0), dt=st.sampled_from([1e-2, 4e-3]),
+       renorm_every=st.sampled_from([1, 7, 10]), budget=st.integers(1, 3000))
+def test_stream_stats_do_not_depend_on_budget_batching_or_order(n, seed, m, T, dt,
+                                                                renorm_every, budget):
+    f = random_field(n, 1, amplitude=0.8, seed=seed)
+    pts = sample_shell(m, 0.5, seed=seed)
+    ref = stream_rates(f, pts, T, dt, renorm_every)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "_CHUNK_BUDGET", budget)
+        variants = [
+            stream_rates(f, pts, T, dt, renorm_every),
+            joined([stream_rates(f, [p], T, dt, renorm_every) for p in pts]),
+            {k: v[::-1] for k, v in stream_rates(f, pts[::-1], T, dt, renorm_every).items()},
+        ]
+    for var in variants:
+        assert -np.max(var["top"]) == pytest.approx(-np.max(ref["top"]), abs=1e-9)
+        assert -np.min(var["bottom"]) == pytest.approx(-np.min(ref["bottom"]), abs=1e-9)
+        for key in ref:
+            assert np.max(np.abs(var[key] - ref[key])) < 1e-9, key
+    # the snapshot is taken at the first window end at or after T/2, and
+    # equals the full-horizon exponents of a run stopped there
+    steps, h = plan_steps(T, dt)
+    ends = np.minimum(renorm_every * np.arange(1, steps // renorm_every + 2), steps) * h
+    half_time = float(ends[np.argmax(ends >= 0.5 * T)])
+    assert ref["half_time"][0] == half_time
+    stopped = stream_rates(f, pts, half_time, h, renorm_every)
+    assert np.max(np.abs(stopped["exponents"] - ref["half"])) < 1e-9
+
+
+def test_rates_reject_nonpositive_horizon():
+    f = random_field(2, 1, amplitude=0.5, seed=3)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            band_estimates(f, T=T, m=2)
+        with pytest.raises(ValueError):
+            exterior_sums(f, POINT, T)
 
 
 def test_sum_rule_against_symbolic_trace():
