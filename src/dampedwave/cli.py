@@ -12,7 +12,9 @@ Subcommands bind the library into the standard experiments:
 All experiment parameters live in a JSON config; flags only choose the
 command, the config path and an output directory.  Artifacts are
 deterministic given the config (reports embed its hash).  Exit codes:
-0 success, 1 input error, 2 a configured check failed.
+0 success, 1 input error, 2 a configured check failed, 3 a numerical
+failure (a linear-algebra routine failed or a floating-point error was
+raised).
 """
 
 from __future__ import annotations
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

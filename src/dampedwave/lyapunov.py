@@ -240,8 +240,8 @@ def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES
     final one, signalling pre-asymptotic horizons.
     """
     T_list = list(T_list)
-    if len(T_list) < 3 or any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise ValueError("T_list must be increasing with at least 3 horizons")
+    if len(T_list) < 3 or T_list[0] <= 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
+        raise ValueError("T_list must be positive and increasing with at least 3 horizons")
     points = _shell_points(field, m, seed)
     fwd = [None] * m
     inv = [None] * m

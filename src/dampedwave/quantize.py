@@ -9,14 +9,19 @@ quadrature of rank-one coherent-state projectors,
 the momentum nodes tile exactly one Nyquist period of the grid, so for
 a = 1 the aliased Gaussian tiling reproduces the identity to quadrature
 accuracy, and Gaussians are truncated at 8 sqrt(h), which keeps the
-assembled operator banded.  The Weyl operator is built from the kernel
-K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with momentum
-nodes dense enough that the discrete kernel has no replica within the box.
+assembled operator banded.  The xi-sum of the x0 term at entry (p, q)
+depends only on the lag p - q, so one gemm of a (lag x xi) phase table with
+the symbol values gives every center's Toeplitz factor, and each lag
+diagonal is one more gemm over the centers.  The Weyl operator is built
+from K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with
+momentum nodes dense enough that the discrete kernel has no replica
+within the box.
 
 Matrix-valued symbols quantize entrywise against the scalar projector
 weights.  A periodized circle variant backs the propagator-factorization
 experiment; coherent states are wrapped by summing nearby periodic images
-(a single image survives the tail truncation for h <= 0.15).
+(a single image survives the tail truncation for h <= 0.15), and it runs
+the same core on the grid unrolled by one window past each end, then folds.
 """
 
 from __future__ import annotations
@@ -160,74 +165,74 @@ def coherent_state(x0: float, xi0: float, grid: GridSpec) -> np.ndarray:
     return state
 
 
+def _midpoints(half: float, s: float):
+    """Midpoint nodes tiling [-half, half] at spacing at most s, and the spacing."""
+    num = int(math.ceil(2.0 * half / s))
+    step = 2.0 * half / num
+    return -half + (np.arange(num) + 0.5) * step, step
+
+
 def _aw_nodes(grid: GridSpec):
     """Phase-space quadrature nodes: x beyond the box by the tail cut, xi
     tiling exactly one Nyquist period (alias tiling makes Op_AW(1) = Id)."""
     h = grid.h
     s = NODE_SPACING * math.sqrt(h)
-    half = grid.L + TAIL_CUT * math.sqrt(h)
-    nx = int(math.ceil(2.0 * half / s))
-    xs = -half + (np.arange(nx) + 0.5) * (2.0 * half / nx)
-    Xi = grid.nyquist
-    if Xi < grid.xi_max:
+    xs, wx = _midpoints(grid.L + TAIL_CUT * math.sqrt(h), s)
+    if grid.nyquist < grid.xi_max:
         raise ValueError("grid Nyquist band does not cover xi_max; refine the grid")
-    nxi = int(math.ceil(2.0 * Xi / s))
-    sxi = 2.0 * Xi / nxi
-    xis = -Xi + (np.arange(nxi) + 0.5) * sxi
-    wx = 2.0 * half / nx
+    xis, sxi = _midpoints(grid.nyquist, s)
     return xs, xis, wx * sxi / (2.0 * math.pi * h)
 
 
-def antiwick_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
-    """Dense anti-Wick operator matrix (side points*n) by projector quadrature."""
-    h, y, dx = grid.h, grid.x, grid.dx
-    P, n = grid.points, symbol.n
-    xs, xis, w = _aw_nodes(grid)
-    cut = TAIL_CUT * math.sqrt(h)
-    op = np.zeros((P * n, P * n), dtype=complex)
-    for x0 in xs:
-        lo = np.searchsorted(y, x0 - cut)
-        hi = np.searchsorted(y, x0 + cut, side="right")
-        if hi <= lo:
-            continue
-        idx = slice(lo, hi)
-        # normalized continuum amplitude: the projector weight is dx, so
-        # centers near or beyond the box edge contribute only their small
-        # in-box tail instead of being renormalized to full mass
-        g = (h * math.pi) ** (-0.25) * np.exp(-((y[idx] - x0) ** 2) / (2.0 * h))
-        E = np.exp(1j * np.outer(y[idx], xis) / h)
-        vals = np.asarray(symbol(x0, xis))
-        gouter = dx * np.outer(g, g)
-        if n == 1:
-            M = (E * (w * vals)[None, :]) @ E.conj().T
-            op[idx, idx.start:idx.stop] += gouter * M
-        else:
-            for a in range(n):
-                for b in range(n):
-                    M = (E * (w * vals[:, a, b])[None, :]) @ E.conj().T
-                    op[a * P + lo:a * P + hi, b * P + lo:b * P + hi] += gouter * M
+def _aw_core(symbol: Symbol, y, centers, lo, hi, xis, w, h, dx) -> np.ndarray:
+    """sum_c dx (g_c g_c^T) o Toeplitz(t_c), term c on the window [lo_c, hi_c) of y.
+
+    g_c is the Gaussian of center c and t_c(m) = w sum_k a(x_c, xi_k)
+    e^{i m dx xi_k / h} its momentum sum at lag m.  The symbol is called once
+    per center.  Returns (n, len(y), n, len(y)): block (a, b) at [a, :, b, :].
+    """
+    N, nxi, n = len(y), len(xis), symbol.n
+    vals = np.stack([np.asarray(symbol(x0, xis)).reshape(nxi, n * n) for x0 in centers])
+    j = np.arange(N)[:, None]
+    g = (h * math.pi) ** (-0.25) * np.exp(-((y[:, None] - centers) ** 2) / (2.0 * h))
+    G = np.where((j >= lo) & (j < hi), g, 0.0)
+    span = int(np.max(hi - lo))
+    phases = np.exp(1j * np.outer(np.arange(1 - span, span) * dx, xis) / h)
+    T = phases @ np.moveaxis((w * dx) * vals, 1, 0).reshape(nxi, -1)  # every t_c in one gemm
+    T = T.reshape(2 * span - 1, len(centers), n * n)
+    # lags +m and -m side by side, as reals so each lag is one real gemm
+    Tpm = np.concatenate([T[span - 1:], T[span - 1::-1]], axis=2).view(np.float64)
+    op = np.zeros((n, N, n, N), dtype=complex)
+    for m in range(span):
+        i = np.arange(m, N)
+        both = ((G[m:] * G[:N - m]) @ Tpm[m]).view(complex).reshape(N - m, 2, n, n)
+        op[:, i, :, i - m] = both[:, 0]
+        op[:, i - m, :, i] = both[:, 1]
     return op
 
 
-def _weyl_nodes(grid: GridSpec):
-    """Momentum nodes for the Weyl kernel: dense enough that the discrete
-    kernel has no position replica within reach of the box."""
-    h = grid.h
-    Xi = grid.nyquist
-    s_res = NODE_SPACING * math.sqrt(h)
-    s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)
-    s = min(s_res, s_rep)
-    nxi = int(math.ceil(2.0 * Xi / s))
-    sxi = 2.0 * Xi / nxi
-    xis = -Xi + (np.arange(nxi) + 0.5) * sxi
-    return xis, sxi
+def antiwick_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
+    """Dense anti-Wick operator matrix (side points*n) by projector quadrature.
+
+    Gaussians keep their continuum normalization, so centers near or beyond
+    the box edge contribute only their small in-box tail.
+    """
+    y = grid.x
+    xs, xis, w = _aw_nodes(grid)
+    cut = TAIL_CUT * math.sqrt(grid.h)
+    lo = np.searchsorted(y, xs - cut)
+    hi = np.searchsorted(y, xs + cut, side="right")
+    keep = hi > lo
+    op = _aw_core(symbol, y, xs[keep], lo[keep], hi[keep], xis, w, grid.h, grid.dx)
+    return op.reshape(symbol.n * grid.points, -1)
 
 
 def weyl_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
     """Dense Weyl operator matrix from midpoint kernel quadrature."""
     y, h, dx = grid.x, grid.h, grid.dx
     P, n = grid.points, symbol.n
-    xis, sxi = _weyl_nodes(grid)
+    s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)  # no kernel replica within the box
+    xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
     pref = dx * sxi / (2.0 * math.pi * h)
     offsets = y[:, None] - y[None, :]
     if symbol.xy_parts is not None and n == 1:
@@ -382,40 +387,31 @@ class CircleGrid:
         return cls(points, h)
 
 
+def _fold(a: np.ndarray, P: int) -> np.ndarray:
+    """Fold the last axis of a, the circle grid unrolled by W points, mod P."""
+    W = (a.shape[-1] - P) // 2
+    out = a[..., W:W + P].copy()
+    out[..., P - W:] += a[..., :W]
+    out[..., :W] += a[..., W + P:]
+    return out
+
+
 def antiwick_build_circle(symbol: Symbol, grid: CircleGrid) -> np.ndarray:
     """Periodized anti-Wick operator for scalar or matrix symbols.
 
     Coherent states are wrapped by summing periodic images; with tails
     truncated at 8 sqrt(h) < pi a single image reaches each grid point, so
     the wrapped Gaussian reduces to the Gaussian of the wrapped distance.
+    The centers sit on the grid points; the grid is unrolled by one window
+    on each side, so lags never alias, and the result is folded back mod P.
     """
     h, P, dx = grid.h, grid.points, grid.dx
-    n = symbol.n
     cut = TAIL_CUT * math.sqrt(h)
     if cut >= math.pi:
         raise ValueError("h too large for single-image periodization")
-    Xi = grid.nyquist
-    s = NODE_SPACING * math.sqrt(h)
-    nxi = int(math.ceil(2.0 * Xi / s))
-    sxi = 2.0 * Xi / nxi
-    xis = -Xi + (np.arange(nxi) + 0.5) * sxi
-    w = dx * sxi / (2.0 * math.pi * h)
-    halfw = int(math.ceil(cut / dx))
-    rel = np.arange(-halfw, halfw + 1)
-    delta = rel * dx
-    g = (h * math.pi) ** (-0.25) * np.exp(-(delta**2) / (2.0 * h))
-    E = np.exp(1j * np.outer(delta, xis) / h)
-    gouter = dx * np.outer(g, g)
-    op = np.zeros((P * n, P * n), dtype=complex)
-    for i0 in range(P):
-        idx = (i0 + rel) % P
-        vals = np.asarray(symbol(grid.x[i0], xis))
-        if n == 1:
-            M = gouter * ((E * (w * vals)[None, :]) @ E.conj().T)
-            op[np.ix_(idx, idx)] += M
-        else:
-            for a in range(n):
-                for b in range(n):
-                    M = gouter * ((E * (w * vals[:, a, b])[None, :]) @ E.conj().T)
-                    op[np.ix_(a * P + idx, b * P + idx)] += M
-    return op
+    xis, sxi = _midpoints(grid.nyquist, NODE_SPACING * math.sqrt(h))
+    W = int(math.ceil(cut / dx))
+    i0 = np.arange(P)
+    op = _aw_core(symbol, np.arange(-W, P + W) * dx, grid.x, i0, i0 + 2 * W + 1, xis,
+                  dx * sxi / (2.0 * math.pi * h), h, dx)
+    return _fold(_fold(op, P).swapaxes(1, 3), P).swapaxes(1, 3).reshape(symbol.n * P, -1)

@@ -136,8 +136,8 @@ def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEF
         raise ValueError("reliability fraction must lie in (0, 1]")
     try:
         mu = np.linalg.eigvals(gen.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigensolver failed on side {gen.side}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"eigensolver failed on side {gen.side}: {exc}") from exc
     taus = -1j * mu
     taus = taus[np.lexsort((taus.imag, taus.real))]
     meta = {

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dampedwave.cli import main
@@ -101,6 +102,19 @@ def test_lyapunov_rejects_zero_horizon(tmp_path, capsys):
     assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "lyapunov.json").exists()
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    cfg = dict(CONSTANT, output={"dir": str(tmp_path / "out")})
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure:") and "side" in err
+    assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
 
 def test_decay_command_and_residual_gate(tmp_path):
     cfg = {

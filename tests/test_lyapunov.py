@@ -194,6 +194,8 @@ def test_rates_reject_nonpositive_horizon():
             band_estimates(f, T=T, m=2)
         with pytest.raises(ValueError):
             exterior_sums(f, POINT, T)
+        with pytest.raises(ValueError):
+            extrapolate_c_infinity(f, [T, 2.0, 4.0], m=2, dt=1e-2)
 
 
 def test_sum_rule_against_symbolic_trace():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from dampedwave.quantize import (
+    NODE_SPACING,
+    TAIL_CUT,
     CircleGrid,
     GridSpec,
     Symbol,
+    _aw_nodes,
     antiwick_build,
     antiwick_build_circle,
     aw_weyl_gap,
@@ -175,3 +178,99 @@ def test_circle_antiwick_matrix_blocks():
     assert np.linalg.norm(A[:P, :P] - np.eye(P), ord=2) < 1e-6
     assert np.linalg.norm(A[P:, P:] - 2 * np.eye(P), ord=2) < 1e-6
     assert np.linalg.norm(A[:P, P:], ord=2) < 1e-12
+
+
+def _scalar_sym(x, xi):
+    return np.cos(x) * np.exp(-xi**2) + 0.3j * np.sin(x) * xi
+
+
+def _mat_sym(x, xi):
+    x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+    m = np.empty(x.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = np.cos(x) * np.exp(-xi**2)
+    m[..., 0, 1] = 0.3j * np.sin(2 * x) + xi
+    m[..., 1, 0] = 0.1 * xi**2
+    m[..., 1, 1] = 1.0 + 0.5 * np.sin(x + xi)
+    return m
+
+
+GENERIC = [Symbol(_scalar_sym, 1), Symbol(_mat_sym, 2)]
+
+
+def _projector_loop(symbol, centers, windows, offsets, xis, w, h, dx, P):
+    """Reference anti-Wick sum: per center an explicit phase table E, the
+    matmul E diag(w a) E^H per (a, b) block and a scatter onto its window."""
+    n = symbol.n
+    op = np.zeros((P * n, P * n), dtype=complex)
+    for x0, idx, u in zip(centers, windows, offsets):
+        g = (h * math.pi) ** (-0.25) * np.exp(-(u**2) / (2.0 * h))
+        E = np.exp(1j * np.outer(u, xis) / h)
+        vals = np.asarray(symbol(x0, xis)).reshape(len(xis), n, n)
+        for a in range(n):
+            for b in range(n):
+                M = (E * (w * vals[:, a, b])[None, :]) @ E.conj().T
+                op[np.ix_(a * P + idx, b * P + idx)] += dx * np.outer(g, g) * M
+    return op
+
+
+def _rel_err(A, ref):
+    return np.linalg.norm(A - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("Lbox", [2.0, L])
+@pytest.mark.parametrize("sym", GENERIC, ids=["n1", "n2"])
+def test_antiwick_build_matches_projector_loop(Lbox, sym):
+    grid = GridSpec.build(Lbox, H)
+    y = grid.x
+    xs, xis, w = _aw_nodes(grid)
+    cut = TAIL_CUT * math.sqrt(H)
+    lo = np.searchsorted(y, xs - cut)
+    hi = np.searchsorted(y, xs + cut, side="right")
+    assert np.all(hi > lo) and np.min(hi - lo) < np.max(hi - lo)  # edge windows clipped
+    windows = [np.arange(a, b) for a, b in zip(lo, hi)]
+    ref = _projector_loop(sym, xs, windows, [y[i] - x0 for x0, i in zip(xs, windows)],
+                          xis, w, H, grid.dx, grid.points)
+    assert _rel_err(antiwick_build(sym, grid), ref) < 1e-12
+
+
+@pytest.mark.parametrize("P,h", [(96, 0.1), (132, 0.06)])
+@pytest.mark.parametrize("sym", GENERIC, ids=["n1", "n2"])
+def test_antiwick_build_circle_matches_projector_loop(P, h, sym):
+    # at h = 0.1 the 79-point windows of neighbouring centers overlap across
+    # the wrap, so a lag taken mod P would alias
+    grid = CircleGrid(P, h)
+    dx = grid.dx
+    halfw = int(math.ceil(TAIL_CUT * math.sqrt(h) / dx))
+    Xi = grid.nyquist
+    nxi = int(math.ceil(2.0 * Xi / (NODE_SPACING * math.sqrt(h))))
+    xis = -Xi + (np.arange(nxi) + 0.5) * (2.0 * Xi / nxi)
+    rel = np.arange(-halfw, halfw + 1)
+    ref = _projector_loop(sym, grid.x, [(i0 + rel) % P for i0 in range(P)], [rel * dx] * P,
+                          xis, dx * (2.0 * Xi / nxi) / (2.0 * math.pi * h), h, dx, P)
+    assert _rel_err(antiwick_build_circle(sym, grid), ref) < 1e-12
+
+
+@pytest.mark.parametrize("sym", GENERIC, ids=["n1", "n2"])
+def test_circle_shifted_symbol_rolls_operator(sym):
+    grid = CircleGrid(96, 0.1)
+    n, P = sym.n, grid.points
+    A = antiwick_build_circle(sym, grid).reshape(n, P, n, P)
+    shifted = Symbol(lambda x, xi: sym(x - grid.dx, xi), n)
+    As = antiwick_build_circle(shifted, grid).reshape(n, P, n, P)
+    assert _rel_err(As, np.roll(A, (1, 1), axis=(1, 3))) < 1e-12
+
+
+def test_circle_hermitian_symbol_gives_hermitian_operator():
+    def herm(x, xi):
+        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+        m = np.empty(x.shape + (2, 2), dtype=complex)
+        m[..., 0, 0] = 1.5 + np.cos(x) * xi
+        m[..., 1, 1] = np.exp(-xi**2)
+        m[..., 0, 1] = 0.3 * np.sin(x) + 0.2j * np.cos(2 * x) * xi
+        m[..., 1, 0] = np.conj(m[..., 0, 1])
+        return m
+
+    for h in (0.1, 0.06):
+        grid = CircleGrid.build(h, xi_cover=1.5)
+        A = antiwick_build_circle(Symbol(herm, 2, True), grid)
+        assert np.linalg.norm(A - A.conj().T) < 1e-12 * np.linalg.norm(A)
