@@ -12,7 +12,6 @@ from .damping import DampingField, ExtremalBounds, extremal_bounds, one_plus_cos
 from .cocycle import ScaledMatrix, cocycle_residual, line_integral, propagate, scalar_closed_form
 from .lyapunov import (
     band_estimates,
-    essential_bounds,
     exterior_sums,
     extrapolate_c_infinity,
     finite_time_bounds,
@@ -39,7 +38,6 @@ __all__ = [
     "propagate",
     "scalar_closed_form",
     "band_estimates",
-    "essential_bounds",
     "exterior_sums",
     "extrapolate_c_infinity",
     "finite_time_bounds",

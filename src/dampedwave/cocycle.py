@@ -9,8 +9,11 @@ linear system is integrated (classical fixed-step RK4).  Because the ODE is
 linear with a precomputable coefficient, each RK4 step is a constant matrix;
 steps are assembled in vectorized batches and composed by pairwise products
 with running magnitude renormalization, which keeps horizons of hundreds of
-e-foldings inside double precision.  For n = 1 the exact exponential of the
-symbolic line integral is available as an independent oracle.
+e-foldings inside double precision.  Batches pass between layers as arrays
+(units (B, n, n), logs (B,)) with G = e^{logs} units; ``ScaledMatrix`` is the
+single-trajectory form that ``propagate`` returns.  For n = 1 the exact
+exponential of the symbolic line integral is available as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .geometry import PhasePoint, flow
 _DEFAULT_GROUP = 32
 #: target batch*steps footprint per evaluation chunk
 _CHUNK_BUDGET = 80_000
+#: RK4 is stable for h*lambda in [-2.78, 0] on the negative real axis
+_RK4_REAL_LIMIT = 2.78
 
 
 @dataclass
@@ -40,10 +45,6 @@ class ScaledMatrix:
 
     unit: np.ndarray
     log_scale: float
-
-    @classmethod
-    def identity(cls, n: int) -> "ScaledMatrix":
-        return cls(np.eye(n, dtype=complex), 0.0)
 
     @property
     def n(self) -> int:
@@ -64,18 +65,12 @@ class ScaledMatrix:
         with np.errstate(divide="ignore"):
             return self.log_scale + np.log(np.linalg.svd(self.unit, compute_uv=False))
 
-    def log_norm2(self) -> float:
-        return float(self.log_singular_values()[0])
-
     def log_abs_det(self) -> float:
         sign, logdet = np.linalg.slogdet(self.unit)
         return float(logdet + self.n * self.log_scale)
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return _renormalized(self.unit @ other.unit, self.log_scale + other.log_scale)
-
-    def inv(self) -> "ScaledMatrix":
-        return _renormalized(np.linalg.inv(self.unit), -self.log_scale)
 
 
 def _renormalized(unit: np.ndarray, log_scale: float) -> ScaledMatrix:
@@ -172,6 +167,10 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
     index i advances G across `window` consecutive steps (the final window
     of the run may be shorter).  The product of all yielded matrices,
     rightmost factor first, is G_T.
+
+    Raises ValueError when h * sum_k ||A_k||_2 (a bound on h ||a(x)||_2)
+    reaches RK4's stability limit on the negative real axis, where the
+    scheme can grow a mode that the ODE damps.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -180,6 +179,10 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
     if M == 0:
         return
     amp, om, As = _trajectory_modes(field, starts)
+    reach = h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+    if reach >= _RK4_REAL_LIMIT:
+        raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
+                         f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")
     n = field.n
 
     steps_per_chunk = max(window, (_CHUNK_BUDGET // max(B, 1)) // window * window)
@@ -210,10 +213,21 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
 
 
 def _compose(left, left_logs, right, right_logs):
-    """Scaled batch product (left @ right), renormalized to unit RMS size."""
+    """Scaled batch product (left @ right), renormalized to unit RMS size.
+
+    Raises FloatingPointError when a product's scale is zero or not finite:
+    the value has then left the float64 range and its logs would be NaN.
+    """
     prod = _mm(left, right)
     scale = np.linalg.norm(prod, axis=(-2, -1)) / math.sqrt(prod.shape[-1])
+    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise FloatingPointError("cocycle value lost to under/overflow")
     return prod / scale[..., None, None], left_logs + right_logs + np.log(scale)
+
+
+def log_norm2(units: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log ||e^{logs} units||_2 for a batch (units (B, n, n), logs (B,))."""
+    return logs + np.log(np.linalg.norm(units, ord=2, axis=(-2, -1)))
 
 
 def _scaled_reduce(W: np.ndarray):
@@ -237,8 +251,13 @@ def _scaled_reduce(W: np.ndarray):
     return W[:, 0], logs[:, 0]
 
 
-def propagate_many(field: DampingField, starts: list[PhasePoint], T: float, dt: float) -> list[ScaledMatrix]:
-    """G_T for a batch of starting points (vectorized over the batch)."""
+def propagate_many(field: DampingField, starts: list[PhasePoint], T: float,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """G_T for a batch of starting points (vectorized over the batch).
+
+    Returns (units (B, n, n), logs (B,)) with G_T(starts[b]) =
+    e^{logs[b]} units[b] and each unit of RMS entry size 1.
+    """
     _check_horizon(T, dt)
     B = len(starts)
     n = field.n
@@ -246,12 +265,13 @@ def propagate_many(field: DampingField, starts: list[PhasePoint], T: float, dt: 
     logs = np.zeros(B)
     for W in window_products(field, starts, T, dt):
         units, logs = _compose(*_scaled_reduce(W), units, logs)
-    return [_renormalized(units[b], float(logs[b])) for b in range(B)]
+    return units, logs
 
 
 def propagate(field: DampingField, start: PhasePoint, T: float, dt: float) -> ScaledMatrix:
     """G_T(start) by fixed-step RK4 along the exact trajectory."""
-    return propagate_many(field, [start], T, dt)[0]
+    units, logs = propagate_many(field, [start], T, dt)
+    return _renormalized(units[0], float(logs[0]))
 
 
 def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarray:

@@ -104,9 +104,6 @@ class DampingField:
         H = np.tensordot(phases, As, axes=(0, 0))
         return 0.5 * (H + H.conj().T)
 
-    def trace_at(self, x) -> float:
-        return float(np.real(np.trace(self.at(x))))
-
     def shifted(self, mu: float) -> "DampingField":
         """The field a + mu*Id (shifts every eigenvalue by mu)."""
         coeffs = dict(self.coeffs)
@@ -176,11 +173,6 @@ def _freq_box(K: int, d: int):
     for r in ranges:
         out = [k + (c,) for k in out for c in r]
     return out
-
-
-def evaluate(field: DampingField, x) -> np.ndarray:
-    """Functional alias for ``field.at(x)``."""
-    return field.at(x)
 
 
 def extremal_bounds(field: DampingField, grid_points: int | None = None) -> ExtremalBounds:

@@ -127,14 +127,6 @@ def energy(state: WaveState) -> float:
     return 0.5 * vol * float(kin + pot)
 
 
-def damping_quadratic_form(field: DampingField, state: WaveState) -> float:
-    """integral of <2 a(x) v, v> over the manifold, computed spectrally."""
-    modes = mode_lattice(Manifold("circle" if state.d == 1 else "flat_torus", state.d), state.N)
-    D = multiplication_blocks(field, modes)
-    v = state.v.reshape(-1)
-    return float(2.0 * TWO_PI ** state.d * np.real(np.vdot(v, D @ v)))
-
-
 def energy_balance_residual(field: DampingField, trajectory: list[WaveState]) -> float:
     """Defect of dE/dt = -integral <2 a v, v> along a recorded trajectory.
 
@@ -217,9 +209,8 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
         shape = x.shape
         pts = [PhasePoint((float(xx),), (float(-0.5 * xxi),))
                for xx, xxi in zip((x + 2.0 * xi * t).ravel(), xi.ravel())]
-        vals = propagate_many(field, pts, 2.0 * t, dt)
-        out = np.stack([g.value() for g in vals]).reshape(shape + (field.n, field.n))
-        return out
+        units, logs = propagate_many(field, pts, 2.0 * t, dt)
+        return (np.exp(logs)[:, None, None] * units).reshape(shape + (field.n, field.n))
 
     return Symbol(fn_mat, field.n, False, label="cocycle")
 

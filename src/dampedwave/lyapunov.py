@@ -9,22 +9,26 @@ Two families of rates are estimated from the same trajectories:
   every few steps and average the log diagonal), whose essential range over
   the shell gives the band that carries the spectral density.
 
-The essential inf/sup are estimated by min/max over Monte-Carlo shell
-samples at finite horizon; half-horizon values are carried along as a
-convergence diagnostic.  Everything is sample-parallel and deterministic
-given the seed.
+All of them read one stream of window transfer matrices
+(``cocycle.window_products``).  G_T, G_T^{-1} (from the inverted window
+factors), the segment compositions of ``extrapolate_c_infinity`` and the
+compound products of ``exterior_sums`` are scaled (units, logs) arrays
+folded by ``cocycle._compose``, and their norms come from
+``cocycle.log_norm2``.  The essential inf/sup are estimated by min/max over
+Monte-Carlo shell samples at finite horizon; half-horizon values are carried
+along as a convergence diagnostic.  Everything is sample-parallel and
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cocycle import _compose, _mm, _renormalized, _scaled_reduce, plan_steps, window_products
+from .cocycle import _compose, _mm, _scaled_reduce, log_norm2, plan_steps, window_products
 from .damping import DampingField
 from .geometry import PhasePoint, flow, sample_shell
 
@@ -55,9 +59,6 @@ class CInfinityEstimate:
     diagnostic: float
     converged: bool = True
 
-    def __iter__(self):
-        return iter((self.c_minus, self.c_plus))
-
 
 @dataclass(frozen=True)
 class LyapunovSpectrum:
@@ -67,17 +68,6 @@ class LyapunovSpectrum:
     T: float
     point: PhasePoint
     rank_ok: bool = True
-
-
-@dataclass(frozen=True)
-class EssentialBounds:
-    """Sample extremes of the extreme exponents at horizon T."""
-
-    lambda_minus: float
-    lambda_plus: float
-    T: float
-    m: int
-    diagnostics: dict = dataclass_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -164,12 +154,8 @@ class _StreamStats:
                     half_time = float(ends[hit[0]] * h)
             windows_done += k
         self.T = T
-        self.n = n
-        self.points = points
-        self.product = self.inverse = None
-        if want_bounds:
-            self.product = [_renormalized(units[b], float(logs[b])) for b in range(B)]
-            self.inverse = [_renormalized(inv_units[b], float(inv_logs[b])) for b in range(B)]
+        self.product = (units, logs) if want_bounds else None
+        self.inverse = (inv_units, inv_logs) if want_bounds else None
         self.qr_logs = self.half_logs = self.half_time = None
         if want_qr:
             self.qr_logs = qr_logs
@@ -177,19 +163,13 @@ class _StreamStats:
             self.half_time = half_time if half_time is not None else T
         self.rank_ok = rank_ok
 
-    def log_norm_top(self, norm: str = "spectral") -> np.ndarray:
-        """(B,) values of log ||G_T||."""
-        if norm == "spectral":
-            return np.array([g.log_norm2() for g in self.product])
-        return np.array([g.log_scale + math.log(np.linalg.norm(g.unit))
-                         for g in self.product])
+    def log_norm_top(self) -> np.ndarray:
+        """(B,) values of log ||G_T||_2."""
+        return log_norm2(*self.product)
 
-    def log_norm_bottom(self, norm: str = "spectral") -> np.ndarray:
-        """(B,) values of log sigma_min(G_T) = -log ||G_T^{-1}||."""
-        if norm == "spectral":
-            return -np.array([g.log_norm2() for g in self.inverse])
-        return -np.array([g.log_scale + math.log(np.linalg.norm(g.unit))
-                          for g in self.inverse])
+    def log_norm_bottom(self) -> np.ndarray:
+        """(B,) values of log sigma_min(G_T) = -log ||G_T^{-1}||_2."""
+        return -log_norm2(*self.inverse)
 
     def exponents(self) -> np.ndarray:
         """(B, n) ascending QR exponents at the full horizon."""
@@ -203,31 +183,21 @@ def _shell_points(field: DampingField, m: int, seed: int) -> list[PhasePoint]:
     return sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
 
 
-def _c_bounds(field: DampingField, points, T, dt, norm="spectral"):
-    if norm not in ("spectral", "frobenius"):
-        raise ValueError(f"unknown norm {norm!r}")
-    stats = _StreamStats(field, points, T, dt, want_qr=False)
-    c_minus = -float(np.max(stats.log_norm_top(norm))) / T
-    c_plus = -float(np.min(stats.log_norm_bottom(norm))) / T
-    return c_minus, c_plus
+def _c_rates(top: np.ndarray, bottom: np.ndarray, T: float) -> tuple[float, float]:
+    """(c_minus, c_plus) from per-point log ||G_T||_2 and log sigma_min(G_T)."""
+    return float(-np.max(top) / T), float(-np.min(bottom) / T)
 
 
-def finite_time_bounds_at(field: DampingField, T: float, points: list[PhasePoint],
-                          dt: float = DEFAULT_DT, norm: str = "spectral") -> FiniteTimeBounds:
-    """C bounds over an explicit set of phase points (e.g. a dense grid)."""
+def finite_time_bounds(field: DampingField, T: float, points: list[PhasePoint],
+                       dt: float = DEFAULT_DT) -> FiniteTimeBounds:
+    """C bounds over an explicit set of phase points (shell samples, a grid)."""
     if T <= 0:
         raise ValueError("T must be positive")
-    c_minus, c_plus = _c_bounds(field, points, T, dt, norm)
-    return FiniteTimeBounds(T, c_minus, c_plus, len(points))
-
-
-def finite_time_bounds(field: DampingField, T: float, m: int = DEFAULT_SAMPLES,
-                       dt: float = DEFAULT_DT, seed: int = 0,
-                       norm: str = "spectral") -> FiniteTimeBounds:
-    """C bounds over m Liouville samples of the energy-1/2 shell."""
-    if m < 1:
-        raise ValueError("need at least one sample")
-    return finite_time_bounds_at(field, T, _shell_points(field, m, seed), dt, norm)
+    if not points:
+        raise ValueError("need at least one point")
+    stats = _StreamStats(field, points, T, dt, want_qr=False)
+    return FiniteTimeBounds(T, *_c_rates(stats.log_norm_top(), stats.log_norm_bottom(), T),
+                            len(points))
 
 
 def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES,
@@ -242,22 +212,17 @@ def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES
     T_list = list(T_list)
     if len(T_list) < 3 or T_list[0] <= 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be positive and increasing with at least 3 horizons")
-    points = _shell_points(field, m, seed)
-    fwd = [None] * m
-    inv = [None] * m
+    moved = _shell_points(field, m, seed)
+    eye = np.broadcast_to(np.eye(field.n, dtype=complex), (m, field.n, field.n))
+    fwd = inv = (eye, np.zeros(m))
     series = []
     prev_T = 0.0
-    moved = points
     for T in T_list:
         seg = _StreamStats(field, moved, T - prev_T, dt, want_qr=False)
-        if fwd[0] is None:
-            fwd, inv = list(seg.product), list(seg.inverse)
-        else:
-            fwd = [s @ r for s, r in zip(seg.product, fwd)]
-            inv = [r @ s for s, r in zip(seg.inverse, inv)]
-        top = np.array([g.log_norm2() for g in fwd])
-        bot = -np.array([g.log_norm2() for g in inv])
-        series.append((-np.max(top) / T, -np.min(bot) / T))
+        # G_T = G_seg G_prev and G_T^{-1} = G_prev^{-1} G_seg^{-1}
+        fwd = _compose(*seg.product, *fwd)
+        inv = _compose(*inv, *seg.inverse)
+        series.append(_c_rates(log_norm2(*fwd), -log_norm2(*inv), T))
         moved = [flow(p, T - prev_T) for p in moved]
         prev_T = T
     diffs = [max(abs(a[0] - b[0]), abs(a[1] - b[1])) for a, b in zip(series, series[1:])]
@@ -282,17 +247,11 @@ def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,
 
 
 def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
-    """i-th compound matrices of a stack A (S, n, n): entries are the i x i
+    """i-th compound matrices of a stack A (..., n, n): entries are the i x i
     minors indexed by row/column subsets, so the compound of a product is
     the product of compounds."""
-    S = A.shape[0]
-    m = len(combos)
-    out = np.empty((S, m, m), dtype=complex)
-    for p, rows in enumerate(combos):
-        sub = A[:, rows, :]
-        for q, cols in enumerate(combos):
-            out[:, p, q] = np.linalg.det(sub[:, :, cols])
-    return out
+    idx = np.array(combos)
+    return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
 
 
 def exterior_sums(field: DampingField, point: PhasePoint, T: float,
@@ -311,18 +270,10 @@ def exterior_sums(field: DampingField, point: PhasePoint, T: float,
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
     combos = list(itertools.combinations(range(n), i))
-    m = len(combos)
-    unit = np.eye(m, dtype=complex)
-    log = 0.0
+    unit, log = np.eye(len(combos), dtype=complex)[None], np.zeros(1)
     for W in window_products(field, [point], T, dt):
-        C = _compound_batch(W[0], combos)
-        cu, cl = _scaled_reduce(C[None])
-        unit = cu[0] @ unit
-        log += float(cl[0])
-        s = np.linalg.norm(unit)
-        unit /= s
-        log += math.log(s)
-    return float((log + math.log(np.linalg.norm(unit, ord=2))) / T)
+        unit, log = _compose(*_scaled_reduce(_compound_batch(W, combos)), unit, log)
+    return float(log_norm2(unit, log)[0] / T)
 
 
 def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEFAULT_SAMPLES,
@@ -340,8 +291,7 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
         raise ValueError("need at least one sample")
     points = _shell_points(field, m, seed)
     stats = _StreamStats(field, points, T, dt, renorm_every)
-    c_minus = float(-np.max(stats.log_norm_top()) / T)
-    c_plus = float(-np.min(stats.log_norm_bottom()) / T)
+    c_minus, c_plus = _c_rates(stats.log_norm_top(), stats.log_norm_bottom(), T)
     exps = stats.exponents()
     exps_half = stats.exponents_half()
     lam_minus = float(np.min(exps[:, 0]))
@@ -358,16 +308,3 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     }
     return BandEstimates(c_minus, c_plus, lam_minus, lam_plus, T, m, diagnostics)
 
-
-def essential_bounds(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEFAULT_SAMPLES,
-                     dt: float = DEFAULT_DT, seed: int = 0,
-                     renorm_every: int = DEFAULT_RENORM_EVERY) -> EssentialBounds:
-    """Estimated essential range [lambda_minus, lambda_plus] of the exponents.
-
-    Minimum of the smallest and maximum of the largest QR exponent over
-    m >= 10 shell samples; half-horizon values ride along as diagnostics.
-    """
-    if m < 10:
-        raise ValueError("essential bounds need m >= 10 samples")
-    est = band_estimates(field, T, m, dt, seed, renorm_every)
-    return EssentialBounds(est.lambda_minus, est.lambda_plus, T, m, est.diagnostics)

@@ -149,11 +149,11 @@ def test_cluster_concentration_exploratory_report():
     # for a non-commuting n=2 field over growing windows (no hard assert on
     # the trend, which is an open experimental question)
     from dampedwave.damping import random_field
-    from dampedwave.lyapunov import essential_bounds
+    from dampedwave.lyapunov import band_estimates
 
     f = random_field(2, 1, amplitude=0.5, seed=77)
     spec = solve(f, CIRCLE, 170)
-    eb = essential_bounds(f, T=100.0, m=10, dt=2e-3, seed=1)
+    eb = band_estimates(f, T=100.0, m=10, dt=2e-3, seed=1)
     rows = cluster_fraction_trend(spec, [eb.lambda_minus, eb.lambda_plus],
                                   [10.0, 20.0, 40.0, 80.0], epsilon=0.1)
     assert len(rows) == 4

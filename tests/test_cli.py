@@ -104,6 +104,19 @@ def test_lyapunov_rejects_zero_horizon(tmp_path, capsys):
     assert not (tmp_path / "out" / "lyapunov.json").exists()
 
 
+def test_lyapunov_rejects_unstable_step(tmp_path, capsys):
+    cfg = {
+        "manifold": {"kind": "circle", "d": 1},
+        "damping": {"field": {"n": 1, "d": 1, "K": 0,
+                              "coeffs": [{"k": [0], "re": [[400.0]], "im": [[0.0]]}]}},
+        "lyapunov": {"T": 64, "dt": 0.5, "samples": 4, "seed": 0},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert "stability" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lyapunov.json").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -6,11 +6,13 @@ import pytest
 from dampedwave import cocycle
 from dampedwave.cocycle import (
     ScaledMatrix,
+    _compose,
     _field_along,
     _rk4_step_matrices,
     _trajectory_modes,
     cocycle_residual,
     line_integral,
+    log_norm2,
     propagate,
     propagate_many,
     scalar_closed_form,
@@ -142,11 +144,21 @@ def test_line_integral_against_quadrature():
 def test_propagate_many_matches_single():
     f = random_field(2, 1, amplitude=0.5, seed=30)
     pts = sample_shell(4, 0.5, seed=5)
-    batch = propagate_many(f, pts, 8.0, 1e-3)
-    for p, Gb in zip(pts, batch):
+    units, logs = propagate_many(f, pts, 8.0, 1e-3)
+    assert units.shape == (4, 2, 2) and logs.shape == (4,)
+    norms = log_norm2(units, logs)
+    for b, p in enumerate(pts):
         G = propagate(f, p, 8.0, 1e-3)
-        assert abs(G.log_scale - Gb.log_scale) < 1e-10
-        assert np.allclose(G.unit, Gb.unit, atol=1e-10)
+        assert abs(norms[b] - G.log_singular_values()[0]) < 1e-10
+        assert np.allclose(np.exp(logs[b]) * units[b], G.value(), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf])
+def test_compose_rejects_lost_scale(bad):
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+    stack = np.full((3, 2, 2), bad, dtype=complex)
+    with pytest.raises(FloatingPointError, match="under/overflow"):
+        _compose(stack, np.zeros(3), eye, np.zeros(3))
 
 
 def test_propagate_rejects_bad_steps():
@@ -160,13 +172,12 @@ def test_propagate_rejects_bad_steps():
 
 
 def test_scaled_matrix_algebra():
-    A = ScaledMatrix.identity(2)
-    assert A.log_norm2() == pytest.approx(0.0)
     rng = np.random.default_rng(1)
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     B = ScaledMatrix(M / np.linalg.norm(M, 2), 3.0)
-    C = B @ B.inv()
-    assert np.allclose(math.exp(C.log_scale) * C.unit, np.eye(2), atol=1e-12)
+    C = B @ B
+    assert np.allclose(math.exp(C.log_scale) * C.unit, math.exp(6.0) * (B.unit @ B.unit),
+                       rtol=1e-12, atol=0)
     svals = B.log_singular_values()
     assert svals[0] >= svals[-1]
     assert B.log_abs_det() == pytest.approx(float(np.log(abs(np.linalg.det(M))))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampedwave import cocycle
-from dampedwave.cocycle import line_integral, plan_steps
+from dampedwave.cocycle import line_integral, plan_steps, propagate
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
 from dampedwave.lyapunov import (
     _StreamStats,
     band_estimates,
-    essential_bounds,
     exterior_sums,
     extrapolate_c_infinity,
     finite_time_bounds,
-    finite_time_bounds_at,
     lyapunov_spectrum,
 )
 
@@ -33,13 +32,13 @@ def diag_one_plus_cos_two():
 def test_constant_bounds_exact_for_every_horizon():
     f = DampingField.constant(0.7 * np.eye(2))
     for T in (0.5, 3.0, 11.0):
-        fb = finite_time_bounds(f, T, m=6, dt=1e-3, seed=2)
+        fb = finite_time_bounds(f, T, sample_shell(6, 0.5, seed=2), dt=1e-3)
         assert fb.c_minus == pytest.approx(0.7, abs=1e-10)
         assert fb.c_plus == pytest.approx(0.7, abs=1e-10)
 
 
 def test_zero_damping_bounds():
-    fb = finite_time_bounds(DampingField.zero(2, 1), 4.0, m=4, dt=1e-2, seed=0)
+    fb = finite_time_bounds(DampingField.zero(2, 1), 4.0, sample_shell(4, 0.5, seed=0), dt=1e-2)
     assert fb.c_minus == pytest.approx(0.0, abs=1e-12)
     assert fb.c_plus == pytest.approx(0.0, abs=1e-12)
 
@@ -50,7 +49,7 @@ def test_one_plus_cos_bounds_match_extremal_line_integral():
     T = 10.0
     grid = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     pts = [PhasePoint((x,), (s / SQRT2,)) for x in grid for s in (+1.0, -1.0)]
-    fb = finite_time_bounds_at(f, T, pts, dt=1e-3)
+    fb = finite_time_bounds(f, T, pts, dt=1e-3)
     dev = SQRT2 * abs(math.sin(T / SQRT2)) / T
     assert fb.c_minus == pytest.approx(1.0 - dev, abs=1e-3)
     assert fb.c_plus == pytest.approx(1.0 + dev, abs=1e-3)
@@ -127,7 +126,7 @@ def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
     for budget in (80_000, 7_000, 2_000):
         monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", budget)
         for pts in (one, three, three[::-1]):
-            fb = finite_time_bounds_at(f, T, pts, dt=1e-3)
+            fb = finite_time_bounds(f, T, pts, dt=1e-3)
             results.append((len(pts), fb.c_minus, fb.c_plus))
     for size in (1, 3):
         c_minus = [cm for k, cm, _ in results if k == size]
@@ -138,6 +137,51 @@ def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
     monkeypatch.undo()
     est = band_estimates(f, T=T, m=1, dt=1e-3, seed=0)
     assert -est.lambda_minus <= est.c_plus + 3.0 / T
+
+
+def direct_svd_bounds(field, points, T, dt):
+    # c_minus/c_plus from one SVD of each materialized G_T
+    svals = np.array([np.linalg.svd(propagate(field, p, T, dt).value(), compute_uv=False)
+                      for p in points])
+    return -np.max(np.log(svals[:, 0])) / T, -np.min(np.log(svals[:, -1])) / T
+
+
+@pytest.mark.parametrize("budget", [80_000, 500])
+def test_c_bounds_match_direct_svd(monkeypatch, budget):
+    # non-commuting field; at budget 500 the inverse accumulator spans
+    # several chunks per trajectory
+    f = random_field(2, 1, amplitude=0.8, seed=31)
+    pts = sample_shell(4, 0.5, seed=9)
+    T = 6.0
+    monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", budget)
+    fb = finite_time_bounds(f, T, pts, dt=1e-3)
+    c_minus, c_plus = direct_svd_bounds(f, pts, T, 1e-3)
+    assert abs(fb.c_minus - c_minus) < 1e-12
+    assert abs(fb.c_plus - c_plus) < 1e-12
+
+
+def test_extrapolation_last_horizon_matches_direct_bounds():
+    # the segments are composed G_T = G_seg G_prev and G_T^{-1} = G_prev^{-1} G_seg^{-1}
+    f = random_field(2, 1, amplitude=0.8, seed=31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = extrapolate_c_infinity(f, [2.0, 4.0, 6.0], m=4, seed=9)
+    fb = finite_time_bounds(f, 6.0, sample_shell(4, 0.5, seed=9))
+    assert abs(est.c_minus - fb.c_minus) < 1e-12
+    assert abs(est.c_plus - fb.c_plus) < 1e-12
+
+
+def test_step_outside_rk4_stability_is_rejected():
+    # h * 400 = 200: RK4 would report exponent +36 where the truth is -400
+    f = DampingField.constant([[400.0]])
+    with pytest.raises(ValueError, match="stability"):
+        lyapunov_spectrum(f, POINT, 64.0, dt=0.5)
+    with pytest.raises(ValueError, match="stability"):
+        finite_time_bounds(f, 64.0, [POINT], dt=0.5)
+    # just inside the limit (h * 400 = 2.76) the step still damps
+    assert lyapunov_spectrum(f, POINT, 1.0, dt=6.9e-3).exponents[0] < 0.0
+    sp = lyapunov_spectrum(f, POINT, 1.0, dt=1e-3)
+    assert sp.exponents[0] == pytest.approx(-400.0, rel=1e-3)
 
 
 def stream_rates(field, points, T, dt, renorm_every):
@@ -209,24 +253,19 @@ def test_sum_rule_against_symbolic_trace():
 def test_essential_bounds_decoupled_field():
     f = diag_one_plus_cos_two()
     T = 60.0
-    eb = essential_bounds(f, T=T, m=12, dt=2e-3, seed=5)
+    eb = band_estimates(f, T=T, m=12, dt=2e-3, seed=5)
     assert eb.lambda_minus == pytest.approx(-2.0, abs=2.0 / T)
     assert eb.lambda_plus == pytest.approx(-1.0, abs=2.0 / T)
     assert eb.diagnostics["rank_ok"]
 
 
 def test_essential_bounds_constant_and_zero():
-    eb = essential_bounds(DampingField.constant(0.5 * np.eye(2)), T=10.0, m=10, dt=1e-3, seed=1)
+    eb = band_estimates(DampingField.constant(0.5 * np.eye(2)), T=10.0, m=10, dt=1e-3, seed=1)
     assert eb.lambda_minus == pytest.approx(-0.5, abs=1e-9)
     assert eb.lambda_plus == pytest.approx(-0.5, abs=1e-9)
-    eb0 = essential_bounds(DampingField.zero(2, 1), T=5.0, m=10, dt=1e-2, seed=1)
+    eb0 = band_estimates(DampingField.zero(2, 1), T=5.0, m=10, dt=1e-2, seed=1)
     assert eb0.lambda_minus == pytest.approx(0.0, abs=1e-12)
     assert eb0.lambda_plus == pytest.approx(0.0, abs=1e-12)
-
-
-def test_essential_bounds_needs_enough_samples():
-    with pytest.raises(ValueError):
-        essential_bounds(one_plus_cos(), T=5.0, m=5)
 
 
 def test_ordering_chain_finite_horizon():
@@ -237,17 +276,6 @@ def test_ordering_chain_finite_horizon():
         slack = 3.0 / T
         assert est.c_minus <= -est.lambda_plus + slack
         assert -est.lambda_minus <= est.c_plus + slack
-
-
-def test_norm_independence_of_bounds():
-    f = random_field(2, 1, amplitude=0.8, seed=31)
-    T = 40.0
-    pts = sample_shell(8, 0.5, seed=9)
-    spec = finite_time_bounds_at(f, T, pts, dt=2e-3, norm="spectral")
-    frob = finite_time_bounds_at(f, T, pts, dt=2e-3, norm="frobenius")
-    bound = 2.0 * math.log(2.0) / T
-    assert abs(spec.c_minus - frob.c_minus) < bound
-    assert abs(spec.c_plus - frob.c_plus) < bound
 
 
 def test_band_report_fragment_keys():
