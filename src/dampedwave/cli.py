@@ -239,6 +239,15 @@ def _psd_probe_symbols() -> list:
             quantize.Symbol(mat_sym, 2, True)]
 
 
+def _norm_at_most(A: np.ndarray, s: float) -> bool:
+    """||A||_2 <= s, decided by a Cholesky of s^2 I - A^H A (no SVD)."""
+    try:
+        np.linalg.cholesky(s * s * np.eye(A.shape[1]) - A.conj().T @ A)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
 def run_quantize_check(cfg: dict, outdir: Path) -> int:
     sec = _section(cfg, "quantize")
     h = float(sec.get("h", 0.05))
@@ -259,8 +268,7 @@ def run_quantize_check(cfg: dict, outdir: Path) -> int:
             sup = float(np.max(np.abs(vals)))
         else:
             sup = float(np.max(np.linalg.norm(vals, ord=2, axis=(-2, -1))))
-        if np.linalg.norm(A, ord=2) > sup + 1e-6:
-            norm_ok = False
+        norm_ok = norm_ok and _norm_at_most(A, sup + 1e-6)
     checks["positivity_min_eigs"] = pos
     checks["positivity_pass"] = bool(min(pos) >= -1e-8)
     checks["norm_bound_pass"] = bool(norm_ok)

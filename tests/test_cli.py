@@ -155,3 +155,14 @@ def test_quantize_check_command(tmp_path):
     checks = doc["checks"]
     assert checks["identity_pass"] and checks["positivity_pass"]
     assert checks["norm_bound_pass"] and checks["mollified_pass"]
+
+
+def test_norm_bound_by_cholesky():
+    from dampedwave.cli import _norm_at_most
+
+    rng = np.random.default_rng(4)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    A = U @ np.diag([2.0, 1.5, 1.0, 0.5, 0.2, 0.0]) @ V.conj().T  # ||A||_2 = 2
+    assert _norm_at_most(A, 2.0 * (1 + 1e-9))
+    assert not _norm_at_most(A, 2.0 * (1 - 1e-9))

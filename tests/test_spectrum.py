@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dampedwave import spectrum
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import Manifold
 from dampedwave.spectrum import (
@@ -142,3 +143,97 @@ def test_csv_and_metadata():
     meta = json.loads(spec.metadata_json())
     assert meta["N"] == 8 and meta["n"] == 1 and meta["manifold"] == "circle"
     assert meta["field_hash"]
+
+
+TORUS = Manifold("flat_torus", 2)
+BUILDER_CASES = [
+    (random_field(1, 2, 0.6, seed=11), CIRCLE, 6),
+    (random_field(2, 2, 0.6, seed=12), CIRCLE, 5),
+    (random_field(3, 1, 0.8, seed=13), CIRCLE, 4),
+    (random_field(2, 1, 0.6, seed=14, d=2), TORUS, 3),
+]
+
+
+def loop_generator(field, modes):
+    """The generator and multiplication matrix by one loop over (coefficient, mode)."""
+    n, M = field.n, len(modes)
+    index = {tuple(k): i for i, k in enumerate(modes)}
+    D = np.zeros((M * n, M * n), dtype=complex)
+    for k_c, A in field.coeffs.items():
+        for col, k_m in enumerate(index):
+            row = index.get(tuple(kc + km for kc, km in zip(k_c, k_m)))
+            if row is not None:
+                D[row * n:(row + 1) * n, col * n:(col + 1) * n] += A
+    G = np.zeros((2 * M * n, 2 * M * n), dtype=complex)
+    G[:M * n, M * n:] = np.eye(M * n)
+    G[M * n:, :M * n] = np.kron(np.diag(-np.sum(modes.astype(float) ** 2, axis=1)), np.eye(n))
+    G[M * n:, M * n:] = -2.0 * D
+    return G, D
+
+
+@pytest.mark.parametrize("field,manifold,N", BUILDER_CASES)
+def test_block_builder_matches_loop_oracle(field, manifold, N):
+    modes = spectrum.mode_lattice(manifold, N)
+    G, D = loop_generator(field, modes)
+    assert np.array_equal(spectrum.multiplication_blocks(field, modes), D)
+    assert np.array_equal(assemble(field, manifold, N).matrix, G)
+
+
+@pytest.mark.parametrize("field,manifold,N", BUILDER_CASES)
+def test_band_storage_is_the_interleaved_generator(field, manifold, N):
+    modes = spectrum.mode_lattice(manifold, N)
+    ab, bw = spectrum._band(field, modes)
+    n, M = field.n, len(modes)
+    side = 2 * n * M
+    if manifold.d == 1:
+        assert bw == 2 * n * field.K + n - 1
+    i, j = np.indices((side, side))
+    inside = np.abs(i - j) <= bw
+    inter = np.zeros((side, side), dtype=complex)
+    inter[inside] = ab[(2 * bw + i - j)[inside], j[inside]]
+    # interleaved position of dense index p*M*n + m*n + a is (2m + p)*n + a
+    p, m, a = np.unravel_index(np.arange(side), (2, M, n))
+    perm = (2 * m + p) * n + a
+    assert np.array_equal(inter[np.ix_(perm, perm)], assemble(field, manifold, N).matrix)
+    assert not np.any(ab[:bw])
+
+
+CERTIFICATE_CASES = [
+    (DampingField.zero(1, 1), CIRCLE, 16),
+    (DampingField.constant([[0.5]]), CIRCLE, 16),
+    (one_plus_cos(), CIRCLE, 64),
+    (random_field(2, 2, 0.6, seed=5), CIRCLE, 24),
+    (random_field(3, 1, 0.8, seed=7), CIRCLE, 20),
+    (random_field(1, 1, 0.6, seed=3, d=2), TORUS, 4),
+]
+
+
+@pytest.mark.parametrize("field,manifold,N", CERTIFICATE_CASES)
+def test_certificate_distances_match_dense_reference(field, manifold, N):
+    fine = solve(field, manifold, 2 * N).taus
+    ref = np.array([np.min(np.abs(fine - t)) for t in solve(field, manifold, N).reliable()])
+    got = spectrum._fine_distances(field, manifold, N)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-10
+    assert convergence_check(field, manifold, N) == np.max(got)
+
+
+def test_unconverged_torus_certificate_is_reported():
+    # too coarse a cutoff: the certificate fails, and says by how much
+    f = random_field(1, 1, 0.6, seed=3, d=2)
+    assert convergence_check(f, TORUS, 4) == pytest.approx(3.655e-3, abs=1e-6)
+
+
+def test_certificate_needs_only_the_coarse_side_under_the_cap(monkeypatch):
+    f = random_field(2, 2, 0.6, seed=5)
+    expected = convergence_check(f, CIRCLE, 24)
+    monkeypatch.setattr(spectrum, "SIDE_CAP", 300)
+    with pytest.raises(ValueError, match="dense cap"):
+        assemble(f, CIRCLE, 48)  # side 388
+    assert convergence_check(f, CIRCLE, 24) == expected  # coarse side 196
+
+
+def test_inverse_iteration_cap_is_diagnosed(monkeypatch):
+    monkeypatch.setattr(spectrum, "_INVERSE_STEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="tau ="):
+        convergence_check(random_field(1, 1, 0.6, seed=3, d=2), TORUS, 4)
