@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import analysis, damping, evolution, lyapunov, quantize, spectrum
 from .geometry import Manifold
@@ -240,12 +241,12 @@ def _psd_probe_symbols() -> list:
 
 
 def _norm_at_most(A: np.ndarray, s: float) -> bool:
-    """||A||_2 <= s, decided by a Cholesky of s^2 I - A^H A (no SVD)."""
-    try:
-        np.linalg.cholesky(s * s * np.eye(A.shape[1]) - A.conj().T @ A)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    """||A||_2 <= s, decided by an in-place Cholesky of s^2 I - (A^H A)^T
+    (PD iff s^2 I - A^H A is), formed by one herk of the Fortran view A^T."""
+    C = np.eye(A.shape[1], dtype=complex, order="F")
+    C *= s * s
+    C = blas.zherk(-1.0, np.ascontiguousarray(A).T, beta=1.0, c=C, overwrite_c=1)
+    return lapack.zpotrf(C, clean=0, overwrite_a=1)[1] == 0
 
 
 def run_quantize_check(cfg: dict, outdir: Path) -> int:
@@ -258,11 +259,11 @@ def run_quantize_check(cfg: dict, outdir: Path) -> int:
     checks = {"identity_error": id_err, "identity_pass": bool(id_err < 1e-6)}
     pos = []
     norm_ok = True
-    for i, sym in enumerate(_psd_probe_symbols()):
+    xs, xis, _ = quantize._aw_nodes(grid)
+    for sym in _psd_probe_symbols():
         A = quantize.antiwick_build(sym, grid)
         w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
         pos.append(float(w[0]))
-        xs, xis, _ = quantize._aw_nodes(grid)
         vals = np.asarray(sym(xs[:, None], xis[None, :]))
         if sym.n == 1:
             sup = float(np.max(np.abs(vals)))

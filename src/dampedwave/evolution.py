@@ -3,9 +3,11 @@
 The wave system evolves as d/dt (u, v) = A (u, v) with the same Galerkin
 generator the spectrum module assembles; since A is constant the classical
 RK4 update reduces exactly to the degree-4 Taylor polynomial of e^{A dt},
-which is precomputed once and applied per step.  Energy is evaluated by
-Parseval on the coefficients, so the conservation/decay identity is probed
-without any spatial-quadrature noise.
+which is precomputed once and applied as one matvec per step (so the
+recorded coefficients are bit-stable) into a stacked ``Trajectory`` of
+arrays, which the energy trace, balance residual and state dump each read
+in one pass.  Energy is evaluated by Parseval on the coefficients, so the
+conservation/decay identity is probed without any spatial-quadrature noise.
 
 ``factorization_residual`` is an experimental tier: it measures on the
 circle how well the damped semiclassical propagator e^{it(P + 2iha)/h}
@@ -66,51 +68,68 @@ class WaveState:
         return self.u.shape[1]
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """The states recorded by ``evolve``: ts (S,), u and v (S, M, n); traj[i] is a WaveState."""
+
+    ts: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    N: int
+    d: int = 1
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i: int) -> WaveState:
+        return WaveState(self.u[i], self.v[i], float(self.ts[i]), self.N, self.d)
+
+
 def single_mode_state(N: int, k: int = 1, n: int = 1, component: int = 0,
                       amplitude: complex = 1.0, d: int = 1) -> WaveState:
     """u0 = amplitude * e^{ikx} in one vector component, u1 = 0."""
-    M = (2 * N + 1) ** d
-    u = np.zeros((M, n), dtype=complex)
-    v = np.zeros((M, n), dtype=complex)
+    if abs(k) > N:
+        raise ValueError(f"mode {k} lies outside the cutoff N = {N}")
     modes = mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
-    idx = int(np.where((modes == np.array([(k,) * 1 + (0,) * (d - 1)])).all(axis=1))[0][0])
-    u[idx, component] = amplitude
-    return WaveState(u, v, 0.0, N, d)
+    u = np.zeros((len(modes), n), dtype=complex)
+    u[int(np.flatnonzero((modes == [k] + [0] * (d - 1)).all(axis=1))[0]), component] = amplitude
+    return WaveState(u, np.zeros_like(u), 0.0, N, d)
 
 
 def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
-           stride: int = 1) -> list[WaveState]:
+           stride: int = 1) -> Trajectory:
     """Fixed-step evolution of d/dt (u,v) = A (u,v), recorded every `stride`.
 
     For the constant generator the classical RK4 step equals the degree-4
     Taylor step S = sum_{j<=4} (A dt)^j / j!, built once.  dt must stay
-    below the conservative stability heuristic 0.5/N^2.
+    below the conservative stability heuristic 0.5/N^2.  Each step is one
+    matvec w = S w; recorded states go into one preallocated array.
     """
     if state.N != gen.N or state.n != gen.n or state.d != gen.manifold.d:
         raise ValueError("state cutoff does not match the generator")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     limit = 0.5 / max(gen.N, 1) ** 2
-    if dt >= limit:
-        raise ValueError(f"dt={dt} is above the stability heuristic 0.5/N^2 = {limit:g}")
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    if not 0 < dt < limit:
+        raise ValueError(f"dt={dt} must lie in (0, {limit:g}); 0.5/N^2 is the stability heuristic")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T}")
     steps = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
     h = T / steps if steps else dt
-    A = gen.matrix
-    S = np.eye(A.shape[0], dtype=complex)
-    term = np.eye(A.shape[0], dtype=complex)
+    S = term = np.eye(gen.side, dtype=complex)
     for j in range(1, 5):
-        term = (h / j) * (A @ term)
-        S += term
-    M = len(gen.modes)
-    n = gen.n
+        term = (h / j) * (gen.matrix @ term)
+        S = S + term
+    marks = [m for m in range(1, steps + 1) if m % stride == 0 or m == steps]
+    ts = np.array([state.t] + [state.t + m * h for m in marks])
+    W = np.empty((2, len(ts), state.u.size), dtype=complex)  # W[0] holds u, W[1] v
     w = np.concatenate([state.u.reshape(-1), state.v.reshape(-1)])
-    out = [WaveState(state.u, state.v, state.t, state.N, state.d)]
-    for m in range(1, steps + 1):
-        w = S @ w
-        if m % stride == 0 or m == steps:
-            out.append(WaveState(w[: M * n].reshape(M, n), w[M * n:].reshape(M, n),
-                                 state.t + m * h, state.N, state.d))
-    return out
+    W[:, 0] = w.reshape(2, -1)
+    for row, (prev, mark) in enumerate(zip([0] + marks, marks), 1):
+        for _ in range(mark - prev):
+            w = S @ w
+        W[:, row] = w.reshape(2, -1)
+    return Trajectory(ts, *W.reshape((2, len(ts)) + state.u.shape), state.N, state.d)
 
 
 def _mode_k2(N: int, d: int) -> np.ndarray:
@@ -118,60 +137,55 @@ def _mode_k2(N: int, d: int) -> np.ndarray:
     return np.sum(modes.astype(float) ** 2, axis=1)
 
 
+def _energies(u: np.ndarray, v: np.ndarray, N: int, d: int) -> np.ndarray:
+    """Parseval energies of (..., M, n) stacks; one flat M n sum per state, as for one state."""
+    k2 = _mode_k2(N, d)
+    flat = u.shape[:-2] + (-1,)
+    kin = np.sum((np.abs(v) ** 2).reshape(flat), axis=-1)
+    pot = np.sum((k2[:, None] * np.abs(u) ** 2).reshape(flat), axis=-1)
+    return 0.5 * TWO_PI ** d * (kin + pot)
+
+
 def energy(state: WaveState) -> float:
     """Parseval energy (1/2) * sum_k (|v_k|^2 + |k|^2 |u_k|^2) * (2 pi)^d."""
-    k2 = _mode_k2(state.N, state.d)
-    vol = TWO_PI ** state.d
-    kin = np.sum(np.abs(state.v) ** 2)
-    pot = np.sum(k2[:, None] * np.abs(state.u) ** 2)
-    return 0.5 * vol * float(kin + pot)
+    return float(_energies(state.u, state.v, state.N, state.d))
 
 
-def energy_balance_residual(field: DampingField, trajectory: list[WaveState]) -> float:
+def energy_balance_residual(field: DampingField, trajectory: Trajectory) -> float:
     """Defect of dE/dt = -integral <2 a v, v> along a recorded trajectory.
 
     dE/dt is a centered difference over the recording stride, the damping
     integral is exact for trig-polynomial fields; the defect is normalized
-    by 1 + E.
+    by 1 + E.  E sums in einsum order (not ``energy``'s) to keep it bit-stable.
     """
     if len(trajectory) < 3:
         raise ValueError("need at least three recorded states")
-    st0 = trajectory[0]
-    modes = mode_lattice(Manifold("circle" if st0.d == 1 else "flat_torus", st0.d), st0.N)
+    N, d = trajectory.N, trajectory.d
+    modes = mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
     D = multiplication_blocks(field, modes)
-    vol = TWO_PI ** st0.d
-    k2 = _mode_k2(st0.N, st0.d)
-    ts = np.array([s.t for s in trajectory])
-    U = np.stack([s.u for s in trajectory])
-    V = np.stack([s.v.reshape(-1) for s in trajectory])
+    vol = TWO_PI ** d
+    ts = trajectory.ts
+    V = trajectory.v.reshape(len(ts), -1)
     Es = 0.5 * vol * (np.sum(np.abs(V) ** 2, axis=1)
-                      + np.einsum("m,smc->s", k2, np.abs(U) ** 2))
+                      + np.einsum("m,smc->s", _mode_k2(N, d), np.abs(trajectory.u) ** 2))
     flux = 2.0 * vol * np.real(np.einsum("si,ij,sj->s", V.conj(), D, V))
     dE = (Es[2:] - Es[:-2]) / (ts[2:] - ts[:-2])
     return float(np.max(np.abs(dE + flux[1:-1]) / (1.0 + Es[1:-1])))
 
 
-def energy_csv(trajectory: list[WaveState]) -> str:
-    lines = ["t,energy"]
-    for s in trajectory:
-        lines.append(f"{s.t:.17g},{energy(s):.17g}")
-    return "\n".join(lines) + "\n"
+def energy_csv(trajectory: Trajectory) -> str:
+    Es = _energies(trajectory.u, trajectory.v, trajectory.N, trajectory.d)
+    return "t,energy\n" + "".join(f"{t:.17g},{E:.17g}\n"
+                                   for t, E in zip(trajectory.ts.tolist(), Es.tolist()))
 
 
-def state_dump(trajectory: list[WaveState]) -> bytes:
+def state_dump(trajectory: Trajectory) -> bytes:
     """Little-endian float64 dump: per state t, then u then v coefficients,
     mode-major and component-minor, re/im interleaved."""
-    parts = []
-    for s in trajectory:
-        row = [np.array([s.t])]
-        for block in (s.u, s.v):
-            flat = block.reshape(-1)
-            inter = np.empty(2 * flat.size)
-            inter[0::2] = flat.real
-            inter[1::2] = flat.imag
-            row.append(inter)
-        parts.append(np.concatenate(row))
-    return np.concatenate(parts).astype("<f8").tobytes()
+    S = len(trajectory)
+    coeffs = np.concatenate([trajectory.u.reshape(S, -1), trajectory.v.reshape(S, -1)], axis=1)
+    return np.concatenate([trajectory.ts[:, None], coeffs.view(np.float64)],
+                          axis=1).astype("<f8").tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,28 @@ def test_decay_command_and_residual_gate(tmp_path):
     assert main(["decay", "--config", write_cfg(tmp_path, cfg, "strict.json")]) == 2
 
 
+@pytest.mark.parametrize("override, word", [
+    ({"stride": 0}, "stride"),
+    ({"stride": -2}, "stride"),
+    ({"dt": 0}, "dt"),
+    ({"dt": -1e-4}, "dt"),
+    ({"T": float("nan")}, "T"),
+    ({"mode": 20}, "mode"),
+])
+def test_decay_bad_input_is_diagnosed(tmp_path, capsys, override, word):
+    cfg = {
+        "manifold": {"kind": "circle", "d": 1},
+        "damping": {"field": {"n": 1, "d": 1, "K": 0,
+                              "coeffs": [{"k": [0], "re": [[0.5]], "im": [[0.0]]}]}},
+        "evolution": dict({"N": 8, "T": 0.01, "dt": 1e-4, "stride": 2, "mode": 1}, **override),
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["decay", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+    assert not (tmp_path / "out" / "decay.json").exists()
+
+
 def test_quantize_check_command(tmp_path):
     cfg = {"quantize": {"h": 0.1, "L": 5.0, "xi_max": 3.0},
            "output": {"dir": str(tmp_path / "out")}}

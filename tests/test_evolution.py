@@ -8,6 +8,7 @@ from dampedwave.damping import DampingField, extremal_bounds, one_plus_cos, rand
 from dampedwave.geometry import Manifold
 from dampedwave.evolution import (
     WaveState,
+    _energies,
     energy,
     energy_balance_residual,
     energy_csv,
@@ -16,7 +17,7 @@ from dampedwave.evolution import (
     single_mode_state,
     state_dump,
 )
-from dampedwave.spectrum import assemble
+from dampedwave.spectrum import assemble, mode_lattice, multiplication_blocks
 
 CIRCLE = Manifold("circle", 1)
 
@@ -133,6 +134,88 @@ def test_energy_csv_and_state_dump():
     assert len(blob) == 8 * record * len(traj)
     t0 = struct.unpack("<d", blob[:8])[0]
     assert t0 == traj[0].t
+
+
+def _reference_evolve(gen, state, T, dt, stride):
+    """The per-step loop with one (t, u, v) record per recorded state."""
+    steps = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
+    h = T / steps if steps else dt
+    A = gen.matrix
+    S = np.eye(A.shape[0], dtype=complex)
+    term = np.eye(A.shape[0], dtype=complex)
+    for j in range(1, 5):
+        term = (h / j) * (A @ term)
+        S += term
+    M, n = state.u.shape
+    w = np.concatenate([state.u.reshape(-1), state.v.reshape(-1)])
+    out = [(state.t, state.u, state.v)]
+    for m in range(1, steps + 1):
+        w = S @ w
+        if m % stride == 0 or m == steps:
+            out.append((state.t + m * h, w[: M * n].reshape(M, n), w[M * n:].reshape(M, n)))
+    return out
+
+
+def _reference_energy(u, v, N):
+    k2 = np.sum(mode_lattice(CIRCLE, N).astype(float) ** 2, axis=1)
+    return 0.5 * (2 * math.pi) * float(np.sum(np.abs(v) ** 2) + np.sum(k2[:, None] * np.abs(u) ** 2))
+
+
+def _reference_csv(records, N):
+    return "\n".join(["t,energy"] + [f"{t:.17g},{_reference_energy(u, v, N):.17g}"
+                                     for t, u, v in records]) + "\n"
+
+
+def _reference_dump(records):
+    parts = []
+    for t, u, v in records:
+        row = [np.array([t])]
+        for block in (u, v):
+            flat = block.reshape(-1)
+            inter = np.empty(2 * flat.size)
+            inter[0::2] = flat.real
+            inter[1::2] = flat.imag
+            row.append(inter)
+        parts.append(np.concatenate(row))
+    return np.concatenate(parts).astype("<f8").tobytes()
+
+
+def _reference_residual(field, records, N):
+    modes = mode_lattice(CIRCLE, N)
+    D = multiplication_blocks(field, modes)
+    k2 = np.sum(modes.astype(float) ** 2, axis=1)
+    ts = np.array([t for t, _, _ in records])
+    U = np.stack([u for _, u, _ in records])
+    V = np.stack([v.reshape(-1) for _, _, v in records])
+    Es = 0.5 * (2 * math.pi) * (np.sum(np.abs(V) ** 2, axis=1)
+                                + np.einsum("m,smc->s", k2, np.abs(U) ** 2))
+    flux = 2.0 * (2 * math.pi) * np.real(np.einsum("si,ij,sj->s", V.conj(), D, V))
+    dE = (Es[2:] - Es[:-2]) / (ts[2:] - ts[:-2])
+    return float(np.max(np.abs(dE + flux[1:-1]) / (1.0 + Es[1:-1])))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_trajectory_matches_per_step_oracle(n, stride):
+    # 100 steps: not a multiple of 3 or 7, so the final state is recorded off-stride
+    N, T, dt = 4, 0.1, 1e-3
+    f = random_field(n, 1, amplitude=0.6, seed=5)
+    gen = assemble(f, CIRCLE, N)
+    st = single_mode_state(N, k=2, n=n)
+    st = WaveState(st.u, st.u[::-1] * 0.5j, 0.25, N)
+    ref = _reference_evolve(gen, st, T, dt, stride)
+    traj = evolve(gen, st, T, dt, stride)
+    assert len(traj) == len(ref) == 100 // stride + 1 + (100 % stride > 0)
+    assert traj.ts.tobytes() == np.array([t for t, _, _ in ref]).tobytes()
+    assert traj.u.tobytes() == np.stack([u for _, u, _ in ref]).tobytes()
+    assert traj.v.tobytes() == np.stack([v for _, _, v in ref]).tobytes()
+    assert energy_csv(traj) == _reference_csv(ref, N)
+    assert state_dump(traj) == _reference_dump(ref)
+    assert energy_balance_residual(f, traj) == _reference_residual(f, ref, N)
+    Es = _energies(traj.u, traj.v, N, 1)
+    for i in range(len(traj)):
+        assert energy(traj[i]) == Es[i]
+        assert energy(traj[i]) == _reference_energy(*ref[i][1:], N)
 
 
 def test_factorization_baselines_small():
