@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from . import analysis, damping, evolution, lyapunov, quantize, spectrum
 from .geometry import Manifold
@@ -241,12 +240,12 @@ def _psd_probe_symbols() -> list:
 
 
 def _norm_at_most(A: np.ndarray, s: float) -> bool:
-    """||A||_2 <= s, decided by an in-place Cholesky of s^2 I - (A^H A)^T
-    (PD iff s^2 I - A^H A is), formed by one herk of the Fortran view A^T."""
-    C = np.eye(A.shape[1], dtype=complex, order="F")
-    C *= s * s
-    C = blas.zherk(-1.0, np.ascontiguousarray(A).T, beta=1.0, c=C, overwrite_c=1)
-    return lapack.zpotrf(C, clean=0, overwrite_a=1)[1] == 0
+    """||A||_2 <= s, decided by a Cholesky of s^2 I - A^H A (no SVD)."""
+    try:
+        np.linalg.cholesky(s * s * np.eye(A.shape[1]) - A.conj().T @ A)
+        return True
+    except np.linalg.LinAlgError:
+        return False
 
 
 def run_quantize_check(cfg: dict, outdir: Path) -> int:

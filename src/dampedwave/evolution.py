@@ -3,11 +3,10 @@
 The wave system evolves as d/dt (u, v) = A (u, v) with the same Galerkin
 generator the spectrum module assembles; since A is constant the classical
 RK4 update reduces exactly to the degree-4 Taylor polynomial of e^{A dt},
-which is precomputed once and applied as one matvec per step (so the
-recorded coefficients are bit-stable) into a stacked ``Trajectory`` of
-arrays, which the energy trace, balance residual and state dump each read
-in one pass.  Energy is evaluated by Parseval on the coefficients, so the
-conservation/decay identity is probed without any spatial-quadrature noise.
+which is precomputed once and applied as one matvec per step (so the recorded
+coefficients are bit-stable) into a stacked ``Trajectory`` of arrays.  Energy
+is evaluated by Parseval on the coefficients, so the conservation/decay
+identity is probed without any spatial-quadrature noise.
 
 ``factorization_residual`` is an experimental tier: it measures on the
 circle how well the damped semiclassical propagator e^{it(P + 2iha)/h}
@@ -103,7 +102,7 @@ def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
     For the constant generator the classical RK4 step equals the degree-4
     Taylor step S = sum_{j<=4} (A dt)^j / j!, built once.  dt must stay
     below the conservative stability heuristic 0.5/N^2.  Each step is one
-    matvec w = S w; recorded states go into one preallocated array.
+    matvec w = S w into one preallocated array; an overflow raises.
     """
     if state.N != gen.N or state.n != gen.n or state.d != gen.manifold.d:
         raise ValueError("state cutoff does not match the generator")
@@ -120,16 +119,21 @@ def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
     for j in range(1, 5):
         term = (h / j) * (gen.matrix @ term)
         S = S + term
-    marks = [m for m in range(1, steps + 1) if m % stride == 0 or m == steps]
-    ts = np.array([state.t] + [state.t + m * h for m in marks])
-    W = np.empty((2, len(ts), state.u.size), dtype=complex)  # W[0] holds u, W[1] v
+    rows = steps // stride + 1 + (steps % stride > 0)
+    ts = np.empty(rows)
+    W = np.empty((2, rows, state.u.size), dtype=complex)  # W[0] holds u, W[1] v
     w = np.concatenate([state.u.reshape(-1), state.v.reshape(-1)])
-    W[:, 0] = w.reshape(2, -1)
-    for row, (prev, mark) in enumerate(zip([0] + marks, marks), 1):
-        for _ in range(mark - prev):
+    ts[0], W[:, 0] = state.t, w.reshape(2, -1)
+    row = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is diagnosed below
+        for m in range(1, steps + 1):
             w = S @ w
-        W[:, row] = w.reshape(2, -1)
-    return Trajectory(ts, *W.reshape((2, len(ts)) + state.u.shape), state.N, state.d)
+            if m % stride == 0 or m == steps:
+                row += 1
+                ts[row], W[:, row] = state.t + m * h, w.reshape(2, -1)
+    if not np.isfinite(W).all():
+        raise ValueError(f"coefficients must be finite: the evolution overflowed at dt={dt}")
+    return Trajectory(ts, *W.reshape((2, rows) + state.u.shape), state.N, state.d)
 
 
 def _mode_k2(N: int, d: int) -> np.ndarray:

@@ -154,12 +154,14 @@ def test_decay_command_and_residual_gate(tmp_path):
     ({"dt": -1e-4}, "dt"),
     ({"T": float("nan")}, "T"),
     ({"mode": 20}, "mode"),
+    # 2 a dt = 4 lies outside RK4's stability interval although dt < 0.5/N^2: the run overflows
+    ({"T": 1.0, "dt": 1e-3, "stride": 10}, "finite"),
 ])
 def test_decay_bad_input_is_diagnosed(tmp_path, capsys, override, word):
     cfg = {
         "manifold": {"kind": "circle", "d": 1},
         "damping": {"field": {"n": 1, "d": 1, "K": 0,
-                              "coeffs": [{"k": [0], "re": [[0.5]], "im": [[0.0]]}]}},
+                              "coeffs": [{"k": [0], "re": [[2000.0]], "im": [[0.0]]}]}},
         "evolution": dict({"N": 8, "T": 0.01, "dt": 1e-4, "stride": 2, "mode": 1}, **override),
         "output": {"dir": str(tmp_path / "out")},
     }

@@ -120,6 +120,13 @@ def test_evolve_rejections():
         evolve(gen, single_mode_state(6, k=1), 1.0, 1e-3)
 
 
+def test_evolve_rejects_overflow():
+    # 2 c dt = 4 lies outside RK4's stability interval although dt < 0.5/N^2
+    gen = assemble(DampingField.constant([[2000.0]]), CIRCLE, 8)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(gen, single_mode_state(8, k=1), 1.0, 1e-3, stride=10)
+
+
 def test_energy_csv_and_state_dump():
     N = 4
     gen = assemble(DampingField.constant([[0.2]]), CIRCLE, N)
