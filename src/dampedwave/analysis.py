@@ -9,7 +9,6 @@ problems and keeps the undamped circle count at 2*lambda + 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -69,9 +68,6 @@ class BandReport:
                 for w in self.windows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _weights(taus: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Subcommands bind the library into the standard experiments:
 
-    lyapunov        C bounds and Lyapunov band edges over shell samples
+    lyapunov        C bounds and Lyapunov band edges (Floquet on the circle)
     spectrum        eigenfrequency CSV + metadata for a damping field
     bands           band/strip outlier report against the Lyapunov edges
     weyl            eigenvalue counting vs the volume prediction
@@ -22,13 +22,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, damping, evolution, lyapunov, quantize, spectrum
-from .geometry import Manifold
+from .geometry import Manifold, PhasePoint
 
 
 class ConfigError(Exception):
@@ -96,20 +97,40 @@ def _json_report(doc: dict) -> str:
 
 def _band_params(cfg: dict):
     sec = _section(cfg, "lyapunov")
-    return {
+    p = {
         "T": float(sec.get("T", lyapunov.DEFAULT_HORIZON)),
         "m": int(sec.get("samples", lyapunov.DEFAULT_SAMPLES)),
         "dt": float(sec.get("dt", lyapunov.DEFAULT_DT)),
         "seed": int(sec.get("seed", 0)),
         "renorm_every": int(sec.get("renorm_every", lyapunov.DEFAULT_RENORM_EVERY)),
     }
+    for key, name in (("T", "T"), ("m", "samples"), ("dt", "dt"), ("renorm_every", "renorm_every")):
+        if not p[key] > 0:
+            raise ConfigError(f"config lyapunov.{name} must be positive, got {p[key]}")
+    return p
+
+
+def _band_estimates(field: damping.DampingField, p: dict) -> lyapunov.BandEstimates:
+    """Band edges and C bounds: QR on tori; exact Floquet values on the circle's
+    two shell orbits, with C = -(edges) and the step error of a rerun at dt/2."""
+    if field.d != 1:
+        return lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+    xi = math.sqrt(lyapunov.SHELL_ENERGY)
+    orbits = [PhasePoint((0.0,), (xi,)), PhasePoint((0.0,), (-xi,))]
+    period = math.pi / xi
+    exps = lyapunov.floquet_exponents(field, orbits, period, p["dt"])
+    half_step = lyapunov.floquet_exponents(field, orbits, period, 0.5 * p["dt"])
+    lam_minus, lam_plus = float(exps.min()), float(exps.max())
+    return lyapunov.BandEstimates(-lam_plus, -lam_minus, lam_minus, lam_plus, period, 2, {
+        "source": "floquet", "period": period, "dt": p["dt"],
+        "step_error": float(np.max(np.abs(exps - half_step)))})
 
 
 def run_lyapunov(cfg: dict, outdir: Path) -> int:
     manifold = _manifold(cfg)
     field = _field(cfg, manifold)
     p = _band_params(cfg)
-    est = lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+    est = _band_estimates(field, p)
     bounds = damping.extremal_bounds(field)
     doc = est.to_report()
     doc.update({
@@ -146,9 +167,9 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
 def run_bands(cfg: dict, outdir: Path) -> int:
     manifold = _manifold(cfg)
     field = _field(cfg, manifold)
-    spec = _solve_spectrum(cfg, manifold, field)
     p = _band_params(cfg)
-    est = lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+    spec = _solve_spectrum(cfg, manifold, field)
+    est = _band_estimates(field, p)
     asec = _section(cfg, "analysis")
     eps = float(asec.get("epsilon", 0.1))
     width = float(asec.get("window_width", 1.0))
@@ -156,6 +177,7 @@ def run_bands(cfg: dict, outdir: Path) -> int:
                                     width, c_minus=est.c_minus, c_plus=est.c_plus)
     doc = report.to_dict()
     doc["config_hash"] = _config_hash(cfg)
+    doc["band_diagnostics"] = dict(est.diagnostics)
     doc["params"] = {"N": spec.N, "T": est.T, "epsilon": eps,
                      "window_width": width, "samples": est.m}
     path = _write(outdir, "band_report.json", _json_report(doc))

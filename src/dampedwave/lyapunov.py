@@ -17,7 +17,8 @@ folded by ``cocycle._compose``, and their norms come from
 ``cocycle.log_norm2``.  The essential inf/sup are estimated by min/max over
 Monte-Carlo shell samples at finite horizon; half-horizon values are carried
 along as a convergence diagnostic.  Everything is sample-parallel and
-deterministic given the seed.
+deterministic given the seed.  On a periodic orbit ``floquet_exponents``
+reads the exponents off one monodromy, with QR as its oracle.
 """
 
 from __future__ import annotations
@@ -179,10 +180,6 @@ class _StreamStats:
         return np.sort(self.half_logs / self.half_time, axis=1)
 
 
-def _shell_points(field: DampingField, m: int, seed: int) -> list[PhasePoint]:
-    return sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
-
-
 def _c_rates(top: np.ndarray, bottom: np.ndarray, T: float) -> tuple[float, float]:
     """(c_minus, c_plus) from per-point log ||G_T||_2 and log sigma_min(G_T)."""
     return float(-np.max(top) / T), float(-np.min(bottom) / T)
@@ -212,7 +209,7 @@ def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES
     T_list = list(T_list)
     if len(T_list) < 3 or T_list[0] <= 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be positive and increasing with at least 3 horizons")
-    moved = _shell_points(field, m, seed)
+    moved = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
     eye = np.broadcast_to(np.eye(field.n, dtype=complex), (m, field.n, field.n))
     fwd = inv = (eye, np.zeros(m))
     series = []
@@ -254,6 +251,19 @@ def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
     return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
 
 
+def _compound_products(field: DampingField, points: list[PhasePoint], T: float, dt: float,
+                       orders) -> list:
+    """Scaled i-th compounds of G_T, one (units, logs) batch per order i,
+    folded from the compounds of the window factors in one pass."""
+    B = len(points)
+    combos = [list(itertools.combinations(range(field.n), i)) for i in orders]
+    acc = [(np.broadcast_to(np.eye(len(c), dtype=complex), (B, len(c), len(c))), np.zeros(B))
+           for c in combos]
+    for W in window_products(field, points, T, dt):
+        acc = [_compose(*_scaled_reduce(_compound_batch(W, c)), *a) for c, a in zip(combos, acc)]
+    return acc
+
+
 def exterior_sums(field: DampingField, point: PhasePoint, T: float,
                   dt: float = DEFAULT_DT, i: int = 1) -> float:
     """(1/T) * sum of the top-i log singular values of G_T.
@@ -266,14 +276,25 @@ def exterior_sums(field: DampingField, point: PhasePoint, T: float,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    n = field.n
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= {n}")
-    combos = list(itertools.combinations(range(n), i))
-    unit, log = np.eye(len(combos), dtype=complex)[None], np.zeros(1)
-    for W in window_products(field, [point], T, dt):
-        unit, log = _compose(*_scaled_reduce(_compound_batch(W, combos)), unit, log)
+    if not 1 <= i <= field.n:
+        raise ValueError(f"need 1 <= i <= {field.n}")
+    (unit, log), = _compound_products(field, [point], T, dt, (i,))
     return float(log_norm2(unit, log)[0] / T)
+
+
+def floquet_exponents(field: DampingField, points: list[PhasePoint], period: float,
+                      dt: float = DEFAULT_DT) -> np.ndarray:
+    """(B, n) ascending Floquet exponents of orbits that close after `period`.
+
+    Top-i exponent sums are (1/period) log rho(C_i(M)), rho the spectral radius
+    of the i-th compound of the monodromy M, folded from the window factors;
+    ``eig`` of the raw M would lose eigenvalues below eps times the largest.
+    """
+    if not period > 0:
+        raise ValueError("period must be positive")
+    acc = _compound_products(field, points, period, dt, range(1, field.n + 1))
+    sums = np.stack([lg + np.log(np.max(np.abs(np.linalg.eigvals(u)), axis=-1)) for u, lg in acc], 1)
+    return np.sort(np.diff(sums / period, axis=1, prepend=0.0), axis=1)
 
 
 def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEFAULT_SAMPLES,
@@ -289,7 +310,7 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
         raise ValueError("T must be positive")
     if m < 1:
         raise ValueError("need at least one sample")
-    points = _shell_points(field, m, seed)
+    points = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
     stats = _StreamStats(field, points, T, dt, renorm_every)
     c_minus, c_plus = _c_rates(stats.log_norm_top(), stats.log_norm_bottom(), T)
     exps = stats.exponents()
@@ -305,6 +326,7 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
         "dt": dt,
         "seed": seed,
         "renorm_every": renorm_every,
+        "source": "qr",
     }
     return BandEstimates(c_minus, c_plus, lam_minus, lam_plus, T, m, diagnostics)
 

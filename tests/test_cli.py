@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dampedwave.cli import main
+from dampedwave.damping import random_field
+from dampedwave.lyapunov import band_estimates
 
 UNDAMPED = {
     "manifold": {"kind": "circle", "d": 1},
@@ -62,6 +65,9 @@ def test_bands_constant_field(tmp_path, capsys):
     beyond = [w for w in doc["windows"] if w["re_min"] >= 1.0]
     assert sum(w["outliers_above"] + w["outliers_below"] for w in beyond) == 0
     assert (tmp_path / "out" / "spectrum.dat").exists()
+    assert doc["band_diagnostics"]["source"] == "floquet"
+    assert doc["lambda_minus"] == doc["lambda_plus"] == pytest.approx(-0.7, abs=1e-10)
+    assert doc["c_minus"] == -doc["lambda_plus"]
     table = capsys.readouterr().out
     assert "re_min" in table
 
@@ -89,7 +95,12 @@ def test_lyapunov_command(tmp_path):
     assert set(doc) >= {"c_minus", "c_plus", "lambda_minus", "lambda_plus",
                         "config_hash", "a_minus", "a_plus", "indefinite_damping"}
     assert doc["c_minus"] <= doc["c_plus"]
-
+    diag = doc["diagnostics"]
+    assert diag["source"] == "floquet"
+    assert doc["c_minus"] == -doc["lambda_plus"] and doc["c_plus"] == -doc["lambda_minus"]
+    assert doc["T"] == diag["period"] == pytest.approx(math.pi * math.sqrt(2.0))
+    assert doc["m"] == 2
+    assert 0.0 <= diag["step_error"] < 1e-8
 
 
 def test_lyapunov_rejects_zero_horizon(tmp_path, capsys):
@@ -115,6 +126,35 @@ def test_lyapunov_rejects_unstable_step(tmp_path, capsys):
     assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 1
     assert "stability" in capsys.readouterr().err
     assert not (tmp_path / "out" / "lyapunov.json").exists()
+
+
+TORUS = {
+    "manifold": {"kind": "flat_torus", "d": 2},
+    "damping": {"generator": {"n": 2, "K": 1, "amplitude": 0.6, "seed": 4}},
+    "solver": {"N": 6, "reliability": 0.5},
+    "lyapunov": {"T": 5, "dt": 0.002, "samples": 3, "seed": 2},
+}
+
+
+def test_lyapunov_torus_reads_qr(tmp_path):
+    cfg = dict(TORUS, output={"dir": str(tmp_path / "out")})
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "lyapunov.json").read_text())
+    est = band_estimates(random_field(2, 1, 0.6, seed=4, d=2), T=5.0, m=3, dt=0.002, seed=2)
+    assert doc["diagnostics"]["source"] == "qr"
+    assert {k: doc[k] for k in est.to_report()} == est.to_report()
+
+
+@pytest.mark.parametrize("override", [{"T": 0}, {"T": -5}, {"samples": 0}, {"renorm_every": 0},
+                                      {"dt": 0}, {"dt": -1e-3}, {"dt": float("nan")}])
+@pytest.mark.parametrize("base", [CONSTANT, TORUS], ids=["circle", "torus"])
+@pytest.mark.parametrize("command", ["lyapunov", "bands"])
+def test_band_params_rejected_on_every_manifold(tmp_path, capsys, command, base, override):
+    cfg = dict(base, output={"dir": str(tmp_path / "out")})
+    cfg["lyapunov"] = dict(base["lyapunov"], **override)
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
+    assert "error: config lyapunov." in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

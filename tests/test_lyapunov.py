@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampedwave import cocycle
-from dampedwave.cocycle import line_integral, plan_steps, propagate
+from dampedwave.cocycle import line_integral, plan_steps, propagate, propagate_many
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
 from dampedwave.lyapunov import (
@@ -16,6 +16,7 @@ from dampedwave.lyapunov import (
     exterior_sums,
     extrapolate_c_infinity,
     finite_time_bounds,
+    floquet_exponents,
     lyapunov_spectrum,
 )
 
@@ -112,6 +113,52 @@ def test_exterior_sums_match_qr_partial_sums():
     for i in range(1, 4):
         ext = exterior_sums(f, POINT, T, 1e-3, i)
         assert abs(ext - sum(descending[:i])) < 5.0 / T
+
+
+#: the two orbits of the E = 1/2 circle shell; both close after pi / |xi|
+ORBITS = [PhasePoint((0.0,), (1.0 / SQRT2,)), PhasePoint((0.0,), (-1.0 / SQRT2,))]
+PERIOD = math.pi * SQRT2
+
+
+def stiff_field():
+    # a(x) = diag(1, 20) + cos x [[0, 1], [1, 0]]: the monodromy's eigenvalues
+    # differ by a factor of about e^-84, far below machine precision
+    A1 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return DampingField(2, 1, {(0,): np.diag([1.0 + 0j, 20.0]), (1,): A1, (-1,): A1})
+
+
+def test_floquet_closed_forms():
+    exps = floquet_exponents(diag_one_plus_cos_two(), ORBITS, PERIOD)
+    assert exps.shape == (2, 2)
+    assert np.max(np.abs(exps - [-2.0, -1.0])) < 1e-10
+    for c in (0.0, 0.7, 2.3):
+        f = DampingField.constant(np.array([[c + 0j]]))
+        assert np.max(np.abs(floquet_exponents(f, ORBITS, PERIOD) + c)) < 1e-10
+    f = random_field(3, 1, amplitude=0.6, seed=19)
+    batch = floquet_exponents(f, ORBITS, PERIOD)
+    for b, orbit in enumerate(ORBITS):
+        assert np.max(np.abs(floquet_exponents(f, [orbit], PERIOD)[0] - batch[b])) < 1e-12
+    with pytest.raises(ValueError):
+        floquet_exponents(f, ORBITS, 0.0)
+
+
+@pytest.mark.parametrize("field", [stiff_field(), random_field(2, 1, 0.6, seed=5),
+                                   random_field(3, 1, 0.6, seed=19)],
+                         ids=["stiff", "n2_seed5", "n3_seed19"])
+def test_floquet_matches_qr_oracle(field):
+    exps = floquet_exponents(field, ORBITS[:1], PERIOD)[0]
+    for T in (50.0, 100.0, 200.0):
+        qr = np.array(lyapunov_spectrum(field, ORBITS[0], T, dt=1e-3).exponents)
+        assert np.max(np.abs(qr - exps)) <= 3.0 / T
+
+
+def test_floquet_keeps_what_raw_eig_loses():
+    f = stiff_field()
+    exps = floquet_exponents(f, ORBITS, PERIOD)
+    units, logs = propagate_many(f, ORBITS, PERIOD, 1e-3)
+    raw = np.sort(np.log(np.abs(np.linalg.eigvals(units))) + logs[:, None], axis=1) / PERIOD
+    assert np.max(np.abs(raw[:, 0] - exps[:, 0])) > 1.0
+    assert np.max(np.abs(raw[:, 1] - exps[:, 1])) < 1e-10
 
 
 def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
