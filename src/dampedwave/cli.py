@@ -245,8 +245,8 @@ def run_decay(cfg: dict, outdir: Path) -> int:
 
 
 def _psd_probe_symbols() -> list:
-    sym_cos2 = quantize.Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1, True, 1.0)
-    sym_gauss = quantize.Symbol(lambda x, xi: np.exp(-(xi**2)) + 0.0 * x, 1, True, 1.0)
+    sym_cos2 = quantize.Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1)
+    sym_gauss = quantize.Symbol(lambda x, xi: np.exp(-(xi**2)) + 0.0 * x, 1)
 
     def mat_sym(x, xi):
         s = np.sin(x) * np.exp(-0.5 * xi**2)
@@ -258,7 +258,7 @@ def _psd_probe_symbols() -> list:
         return m
 
     return [quantize.symbol_one(), quantize.symbol_harmonic(), sym_cos2, sym_gauss,
-            quantize.Symbol(mat_sym, 2, True)]
+            quantize.Symbol(mat_sym, 2)]
 
 
 def _norm_at_most(A: np.ndarray, s: float) -> bool:

@@ -60,7 +60,7 @@ class ScaledMatrix:
         Only trustworthy down to about log(sigma_max) - 36: a single SVD
         cannot resolve ratios below machine precision (entries below that
         come back as -inf or noise).  Long-horizon spectral statistics use
-        inverse/compound products instead (see the lyapunov module).
+        compound products instead (see the lyapunov module).
         """
         with np.errstate(divide="ignore"):
             return self.log_scale + np.log(np.linalg.svd(self.unit, compute_uv=False))
@@ -192,23 +192,16 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
         ts = 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)
         A_half = _field_along(amp, om, As, ts)
         S = _rk4_step_matrices(A_half, h)
-        nsteps = s1 - s0
-        full = nsteps // window
-        out = []
-        if full:
-            Sg = S[:, : full * window].reshape(B, full, window, n, n)
-            W = Sg[:, :, 0]
-            for j in range(1, window):
-                W = _mm(Sg[:, :, j], W)
-            out.append(W)
-        rem = nsteps - full * window
-        if rem:
-            Wt = S[:, full * window]
-            for j in range(1, rem):
-                Wt = _mm(S[:, full * window + j], Wt)
-            out.append(Wt[:, None])
-        W_chunk = np.concatenate(out, axis=1) if len(out) > 1 else out[0]
-        yield W_chunk
+        # identity steps fill the run's short final window
+        pad = -(s1 - s0) % window
+        if pad:
+            S = np.concatenate([S, np.broadcast_to(np.eye(n, dtype=complex), (B, pad, n, n))],
+                               axis=1)
+        Sg = S.reshape(B, -1, window, n, n)
+        W = Sg[:, :, 0]
+        for j in range(1, window):
+            W = _mm(Sg[:, :, j], W)
+        yield W
         s0 = s1
 
 

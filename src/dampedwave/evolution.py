@@ -220,7 +220,7 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
             integral = np.sum(phases * factors * avals, axis=-1)
             return np.exp(-np.real(integral))
 
-        return Symbol(fn, 1, True, label="cocycle")
+        return Symbol(fn, 1, label="cocycle")
 
     def fn_mat(x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
@@ -230,7 +230,7 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
         units, logs = propagate_many(field, pts, 2.0 * t, dt)
         return (np.exp(logs)[:, None, None] * units).reshape(shape + (field.n, field.n))
 
-    return Symbol(fn_mat, field.n, False, label="cocycle")
+    return Symbol(fn_mat, field.n, label="cocycle")
 
 
 def shell_cutoff_symbol(n: int = 1) -> Symbol:
@@ -249,7 +249,7 @@ def shell_cutoff_symbol(n: int = 1) -> Symbol:
             return vals
         return np.multiply.outer(vals, np.eye(n))
 
-    return Symbol(fn, n, True, 1.0, label="shell cutoff")
+    return Symbol(fn, n, label="shell cutoff")
 
 
 def suggest_modes(h: float) -> int:

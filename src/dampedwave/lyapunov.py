@@ -9,12 +9,13 @@ Two families of rates are estimated from the same trajectories:
   every few steps and average the log diagonal), whose essential range over
   the shell gives the band that carries the spectral density.
 
-All of them read one stream of window transfer matrices
-(``cocycle.window_products``).  G_T, G_T^{-1} (from the inverted window
-factors), the segment compositions of ``extrapolate_c_infinity`` and the
-compound products of ``exterior_sums`` are scaled (units, logs) arrays
-folded by ``cocycle._compose``, and their norms come from
-``cocycle.log_norm2``.  The essential inf/sup are estimated by min/max over
+All of them read one fold of the window transfer matrices
+(``cocycle.window_products``), ``_StreamStats``: it maps each window factor
+to its i-th compounds C_i and folds them with ``cocycle._compose`` into
+scaled (units, logs) arrays, whose norms come from ``cocycle.log_norm2``.
+The C bounds read orders 1, n - 1 and n, since
+log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; nothing is
+inverted.  The essential inf/sup are estimated by min/max over
 Monte-Carlo shell samples at finite horizon; half-horizon values are carried
 along as a convergence diagnostic.  Everything is sample-parallel and
 deterministic given the seed.  On a periodic orbit ``floquet_exponents``
@@ -24,12 +25,14 @@ reads the exponents off one monodromy, with QR as its oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cocycle import _compose, _mm, _scaled_reduce, log_norm2, plan_steps, window_products
+from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
+                      window_products)
 from .damping import DampingField
 from .geometry import PhasePoint, flow, sample_shell
 
@@ -95,44 +98,49 @@ class BandEstimates:
         }
 
 
-class _StreamStats:
-    """One pass over the transfer-matrix stream, three accumulators.
+def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
+    """i-th compound matrices of a stack A (..., n, n): entries are the i x i
+    minors indexed by row/column subsets, so the compound of a product is
+    the product of compounds.  C_1(A) is A itself."""
+    if len(combos[0]) == 1:
+        return A
+    idx = np.array(combos)
+    return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
 
-    Keeps (i) the scaled total product G_T per trajectory, (ii) the scaled
-    product of the inverted window factors, i.e. G_T^{-1} (the only stable
-    way to the smallest singular value once sigma_min/sigma_max falls under
-    machine precision), and (iii) a QR-orthonormalized frame whose log
-    diagonal accumulates the Lyapunov sums, with a snapshot near T/2.
-    Only the window factors (renorm_every steps each) are ever inverted,
-    never a product of several windows.  The frame loop runs one product
-    and one QR per window; the R diagonals of a chunk are logged and summed
-    once per chunk, and the snapshot is the running sum at the first window
-    end at or after T/2.  ``want_bounds`` builds (i) and
-    (ii), ``want_qr`` builds (iii); the attributes of an accumulator that
-    was not built are None.
+
+class _StreamStats:
+    """One pass over the transfer-matrix stream: compound products and a QR frame.
+
+    For each i in ``orders`` it keeps the scaled i-th compound C_i(G_T) per
+    trajectory, folded from the compounds of the window factors
+    (C_i(AB) = C_i(A) C_i(B)); ``compounds[i]`` is its (units, logs) batch.
+    Norms of compounds give every singular-value rate without inverting
+    anything, also where sigma_min/sigma_max is far below machine precision.
+    Windows are ``renorm_every`` steps long, or ``_DEFAULT_GROUP`` when it is
+    None.  Only when ``renorm_every`` is given does a QR-orthonormalized frame
+    run along (otherwise the QR attributes stay at zero logs): its log
+    diagonal accumulates the Lyapunov sums, with a snapshot near T/2.  The
+    frame loop runs one product and one QR per window; the R diagonals of a
+    chunk are logged and summed once per chunk, and the snapshot is the
+    running sum at the first window end at or after T/2.
     """
 
     def __init__(self, field: DampingField, points: list[PhasePoint], T: float, dt: float,
-                 renorm_every: int = DEFAULT_RENORM_EVERY, want_bounds: bool = True,
-                 want_qr: bool = True):
+                 orders=(), renorm_every: int | None = None):
         B, n = len(points), field.n
         M, h = plan_steps(T, dt)
-        units = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
-        logs = np.zeros(B)
-        inv_units = units.copy()
-        inv_logs = np.zeros(B)
-        Q = units.copy()
+        combos = {i: list(itertools.combinations(range(n), i)) for i in orders}
+        acc = {i: (np.eye(len(c), dtype=complex), np.zeros(B)) for i, c in combos.items()}
+        Q = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
         qr_logs = np.zeros((B, n))
         rank_ok = True
         windows_done = 0
         half_logs, half_time = None, None
-        for W in window_products(field, points, T, dt, window=renorm_every):
-            if want_bounds:
-                units, logs = _compose(*_scaled_reduce(W), units, logs)
-                # chunk inverse W_0^{-1} ... W_{k-1}^{-1}, composed on the right
-                inv_units, inv_logs = _compose(inv_units, inv_logs,
-                                               *_scaled_reduce(np.linalg.inv(W[:, ::-1])))
-            if not want_qr:
+        window = _DEFAULT_GROUP if renorm_every is None else renorm_every
+        for W in window_products(field, points, T, dt, window=window):
+            acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
+                   for i, c in combos.items()}
+            if renorm_every is None:
                 continue
             k = W.shape[1]
             diag = np.empty((k, B, n), dtype=complex)
@@ -155,22 +163,11 @@ class _StreamStats:
                     half_time = float(ends[hit[0]] * h)
             windows_done += k
         self.T = T
-        self.product = (units, logs) if want_bounds else None
-        self.inverse = (inv_units, inv_logs) if want_bounds else None
-        self.qr_logs = self.half_logs = self.half_time = None
-        if want_qr:
-            self.qr_logs = qr_logs
-            self.half_logs = half_logs if half_logs is not None else qr_logs.copy()
-            self.half_time = half_time if half_time is not None else T
+        self.compounds = acc
+        self.qr_logs = qr_logs
+        self.half_logs = half_logs if half_logs is not None else qr_logs.copy()
+        self.half_time = half_time if half_time is not None else T
         self.rank_ok = rank_ok
-
-    def log_norm_top(self) -> np.ndarray:
-        """(B,) values of log ||G_T||_2."""
-        return log_norm2(*self.product)
-
-    def log_norm_bottom(self) -> np.ndarray:
-        """(B,) values of log sigma_min(G_T) = -log ||G_T^{-1}||_2."""
-        return -log_norm2(*self.inverse)
 
     def exponents(self) -> np.ndarray:
         """(B, n) ascending QR exponents at the full horizon."""
@@ -180,8 +177,25 @@ class _StreamStats:
         return np.sort(self.half_logs / self.half_time, axis=1)
 
 
-def _c_rates(top: np.ndarray, bottom: np.ndarray, T: float) -> tuple[float, float]:
-    """(c_minus, c_plus) from per-point log ||G_T||_2 and log sigma_min(G_T)."""
+def _bound_orders(n: int) -> list:
+    """Compound orders the C bounds read: 1, n - 1 and n."""
+    return sorted({1, max(n - 1, 1), n})
+
+
+def _log_sigma_extremes(compounds: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) values of log ||G_T||_2 and log sigma_min(G_T) from the compounds
+    of orders ``_bound_orders(n)``: log ||C_1||_2 and
+    log |C_n| - log ||C_{n-1}||_2 (just log |G_T| when n = 1)."""
+    top = log_norm2(*compounds[1])
+    bottom = log_norm2(*compounds[n])
+    if n > 1:
+        bottom = bottom - log_norm2(*compounds[n - 1])
+    return top, bottom
+
+
+def _c_rates(compounds: dict, n: int, T: float) -> tuple[float, float]:
+    """(c_minus, c_plus) over the points of a batch of compounds of G_T."""
+    top, bottom = _log_sigma_extremes(compounds, n)
     return float(-np.max(top) / T), float(-np.min(bottom) / T)
 
 
@@ -192,9 +206,8 @@ def finite_time_bounds(field: DampingField, T: float, points: list[PhasePoint],
         raise ValueError("T must be positive")
     if not points:
         raise ValueError("need at least one point")
-    stats = _StreamStats(field, points, T, dt, want_qr=False)
-    return FiniteTimeBounds(T, *_c_rates(stats.log_norm_top(), stats.log_norm_bottom(), T),
-                            len(points))
+    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n))
+    return FiniteTimeBounds(T, *_c_rates(stats.compounds, field.n, T), len(points))
 
 
 def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES,
@@ -210,16 +223,15 @@ def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES
     if len(T_list) < 3 or T_list[0] <= 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be positive and increasing with at least 3 horizons")
     moved = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
-    eye = np.broadcast_to(np.eye(field.n, dtype=complex), (m, field.n, field.n))
-    fwd = inv = (eye, np.zeros(m))
+    orders = _bound_orders(field.n)
+    acc = {i: (np.eye(math.comb(field.n, i), dtype=complex), np.zeros(m)) for i in orders}
     series = []
     prev_T = 0.0
     for T in T_list:
-        seg = _StreamStats(field, moved, T - prev_T, dt, want_qr=False)
-        # G_T = G_seg G_prev and G_T^{-1} = G_prev^{-1} G_seg^{-1}
-        fwd = _compose(*seg.product, *fwd)
-        inv = _compose(*inv, *seg.inverse)
-        series.append(_c_rates(log_norm2(*fwd), -log_norm2(*inv), T))
+        seg = _StreamStats(field, moved, T - prev_T, dt, orders)
+        # C_i(G_T) = C_i(G_seg) C_i(G_prev) for every order
+        acc = {i: _compose(*seg.compounds[i], *acc[i]) for i in orders}
+        series.append(_c_rates(acc, field.n, T))
         moved = [flow(p, T - prev_T) for p in moved]
         prev_T = T
     diffs = [max(abs(a[0] - b[0]), abs(a[1] - b[1])) for a, b in zip(series, series[1:])]
@@ -238,30 +250,9 @@ def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,
     """Ascending QR exponents of the cocycle at `point` over horizon T."""
     if T <= 0:
         raise ValueError("T must be positive")
-    stats = _StreamStats(field, [point], T, dt, renorm_every, want_bounds=False)
+    stats = _StreamStats(field, [point], T, dt, renorm_every=renorm_every)
     exps = stats.exponents()[0]
     return LyapunovSpectrum(tuple(float(v) for v in exps), T, point, stats.rank_ok)
-
-
-def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
-    """i-th compound matrices of a stack A (..., n, n): entries are the i x i
-    minors indexed by row/column subsets, so the compound of a product is
-    the product of compounds."""
-    idx = np.array(combos)
-    return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def _compound_products(field: DampingField, points: list[PhasePoint], T: float, dt: float,
-                       orders) -> list:
-    """Scaled i-th compounds of G_T, one (units, logs) batch per order i,
-    folded from the compounds of the window factors in one pass."""
-    B = len(points)
-    combos = [list(itertools.combinations(range(field.n), i)) for i in orders]
-    acc = [(np.broadcast_to(np.eye(len(c), dtype=complex), (B, len(c), len(c))), np.zeros(B))
-           for c in combos]
-    for W in window_products(field, points, T, dt):
-        acc = [_compose(*_scaled_reduce(_compound_batch(W, c)), *a) for c, a in zip(combos, acc)]
-    return acc
 
 
 def exterior_sums(field: DampingField, point: PhasePoint, T: float,
@@ -278,8 +269,8 @@ def exterior_sums(field: DampingField, point: PhasePoint, T: float,
         raise ValueError("T must be positive")
     if not 1 <= i <= field.n:
         raise ValueError(f"need 1 <= i <= {field.n}")
-    (unit, log), = _compound_products(field, [point], T, dt, (i,))
-    return float(log_norm2(unit, log)[0] / T)
+    stats = _StreamStats(field, [point], T, dt, (i,))
+    return float(log_norm2(*stats.compounds[i])[0] / T)
 
 
 def floquet_exponents(field: DampingField, points: list[PhasePoint], period: float,
@@ -292,7 +283,7 @@ def floquet_exponents(field: DampingField, points: list[PhasePoint], period: flo
     """
     if not period > 0:
         raise ValueError("period must be positive")
-    acc = _compound_products(field, points, period, dt, range(1, field.n + 1))
+    acc = _StreamStats(field, points, period, dt, range(1, field.n + 1)).compounds.values()
     sums = np.stack([lg + np.log(np.max(np.abs(np.linalg.eigvals(u)), axis=-1)) for u, lg in acc], 1)
     return np.sort(np.diff(sums / period, axis=1, prepend=0.0), axis=1)
 
@@ -311,8 +302,8 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     if m < 1:
         raise ValueError("need at least one sample")
     points = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
-    stats = _StreamStats(field, points, T, dt, renorm_every)
-    c_minus, c_plus = _c_rates(stats.log_norm_top(), stats.log_norm_bottom(), T)
+    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n), renorm_every)
+    c_minus, c_plus = _c_rates(stats.compounds, field.n, T)
     exps = stats.exponents()
     exps_half = stats.exponents_half()
     lam_minus = float(np.min(exps[:, 0]))

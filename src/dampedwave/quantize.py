@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -84,16 +84,16 @@ class GridSpec:
 class Symbol:
     """A phase-space symbol (x, xi) -> scalar or n x n matrix.
 
-    ``fn`` must broadcast over numpy arrays.  ``xy_parts`` optionally lists
-    separable terms (f(x), g(xi)) enabling the fast Weyl path; ``mollified``
-    optionally maps h to the Gaussian-mollified symbol (variance h/2 per
-    phase-space coordinate), which is what anti-Wick quantization sees.
+    ``fn`` must broadcast over numpy arrays.  The keyword-only ``xy_parts``
+    optionally lists separable terms (f(x), g(xi)) enabling the fast Weyl
+    path; ``mollified`` optionally maps h to the Gaussian-mollified symbol
+    (variance h/2 per phase-space coordinate), which is what anti-Wick
+    quantization sees.
     """
 
     fn: callable
     n: int = 1
-    hermitian: bool = False
-    sup_bound: float | None = None
+    _: KW_ONLY
     xy_parts: list | None = None
     mollified: callable = None
     label: str = ""
@@ -104,25 +104,25 @@ class Symbol:
 
 def symbol_one(n: int = 1) -> Symbol:
     if n == 1:
-        return Symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape), 1, True, 1.0,
+        return Symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape), 1,
                       xy_parts=[(lambda x: np.ones_like(x), lambda xi: np.ones_like(xi))],
                       mollified=lambda h: symbol_one(), label="1")
     eye = np.eye(n)
     return Symbol(lambda x, xi: np.multiply.outer(np.ones(np.broadcast(x, xi).shape), eye),
-                  n, True, 1.0, mollified=lambda h: symbol_one(n), label="Id")
+                  n, mollified=lambda h: symbol_one(n), label="Id")
 
 
 def symbol_harmonic() -> Symbol:
     """x^2 + xi^2; its mollification is exactly x^2 + xi^2 + h."""
 
     def moll(h):
-        s = Symbol(lambda x, xi: x * x + xi * xi + h, 1, True,
+        s = Symbol(lambda x, xi: x * x + xi * xi + h, 1,
                    xy_parts=[(lambda x: x * x + h, lambda xi: np.ones_like(xi)),
                              (lambda x: np.ones_like(x), lambda xi: xi * xi)],
                    label="x^2+xi^2+h")
         return s
 
-    return Symbol(lambda x, xi: x * x + xi * xi, 1, True,
+    return Symbol(lambda x, xi: x * x + xi * xi, 1,
                   xy_parts=[(lambda x: x * x, lambda xi: np.ones_like(xi)),
                             (lambda x: np.ones_like(x), lambda xi: xi * xi)],
                   mollified=moll, label="x^2+xi^2")
@@ -133,17 +133,17 @@ def symbol_cos_x() -> Symbol:
 
     def moll(h):
         c = math.exp(-h / 4.0)
-        return Symbol(lambda x, xi: c * np.cos(x) + 0.0 * xi, 1, True, c,
+        return Symbol(lambda x, xi: c * np.cos(x) + 0.0 * xi, 1,
                       xy_parts=[(lambda x: c * np.cos(x), lambda xi: np.ones_like(xi))],
                       label="exp(-h/4)cos x")
 
-    return Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1, True, 1.0,
+    return Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1,
                   xy_parts=[(lambda x: np.cos(x), lambda xi: np.ones_like(xi))],
                   mollified=moll, label="cos x")
 
 
 def symbol_xi() -> Symbol:
-    return Symbol(lambda x, xi: xi + np.zeros_like(x), 1, True,
+    return Symbol(lambda x, xi: xi + np.zeros_like(x), 1,
                   xy_parts=[(lambda x: np.ones_like(x), lambda xi: xi)],
                   mollified=lambda h: symbol_xi(), label="xi")
 

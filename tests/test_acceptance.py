@@ -217,9 +217,9 @@ def test_criterion_9_quantization_propositions():
     psd = [
         symbol_one(),
         symbol_harmonic(),
-        Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1, True),
-        Symbol(lambda x, xi: np.exp(-(xi ** 2)) + 0.0 * x, 1, True),
-        Symbol(mat, 2, True),
+        Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1),
+        Symbol(lambda x, xi: np.exp(-(xi ** 2)) + 0.0 * x, 1),
+        Symbol(mat, 2),
     ]
     from dampedwave.quantize import _aw_nodes
 

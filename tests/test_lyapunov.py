@@ -12,6 +12,8 @@ from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
 from dampedwave.lyapunov import (
     _StreamStats,
+    _bound_orders,
+    _log_sigma_extremes,
     band_estimates,
     exterior_sums,
     extrapolate_c_infinity,
@@ -164,7 +166,7 @@ def test_floquet_keeps_what_raw_eig_loses():
 def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
     # One trajectory at the default budget runs 80 time units per chunk; the
     # chunk product is then singular to working precision, and c_plus must
-    # still come from the well-conditioned window factors.
+    # not depend on where the chunks end.
     f = random_field(3, 1, amplitude=0.6, seed=19)
     T = 60.0
     one = sample_shell(1, 0.5, d=1, seed=0)
@@ -195,7 +197,7 @@ def direct_svd_bounds(field, points, T, dt):
 
 @pytest.mark.parametrize("budget", [80_000, 500])
 def test_c_bounds_match_direct_svd(monkeypatch, budget):
-    # non-commuting field; at budget 500 the inverse accumulator spans
+    # non-commuting field; at budget 500 the compound products span
     # several chunks per trajectory
     f = random_field(2, 1, amplitude=0.8, seed=31)
     pts = sample_shell(4, 0.5, seed=9)
@@ -208,7 +210,7 @@ def test_c_bounds_match_direct_svd(monkeypatch, budget):
 
 
 def test_extrapolation_last_horizon_matches_direct_bounds():
-    # the segments are composed G_T = G_seg G_prev and G_T^{-1} = G_prev^{-1} G_seg^{-1}
+    # the segments are composed C_i(G_T) = C_i(G_seg) C_i(G_prev) for every order
     f = random_field(2, 1, amplitude=0.8, seed=31)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -216,6 +218,49 @@ def test_extrapolation_last_horizon_matches_direct_bounds():
     fb = finite_time_bounds(f, 6.0, sample_shell(4, 0.5, seed=9))
     assert abs(est.c_minus - fb.c_minus) < 1e-12
     assert abs(est.c_plus - fb.c_plus) < 1e-12
+
+
+def test_rates_never_invert(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    f = random_field(3, 1, amplitude=0.6, seed=19)
+    pts = sample_shell(3, 0.5, seed=0)
+    fb = finite_time_bounds(f, 4.0, pts, dt=1e-2)
+    est = band_estimates(f, T=4.0, m=3, dt=1e-2, seed=0)
+    assert abs(est.c_minus - fb.c_minus) < 1e-12
+    assert abs(est.c_plus - fb.c_plus) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        extrapolate_c_infinity(f, [1.0, 2.0, 4.0], m=3, dt=1e-2)
+    lyapunov_spectrum(f, POINT, 4.0, dt=1e-2)
+
+
+def rk4_rate(c, h):
+    # one RK4 step multiplies e^{-ct} by p(-ch), p the degree-4 Taylor polynomial of exp
+    z = -c * h
+    return -math.log(1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) / h
+
+
+@pytest.mark.parametrize("rates", [(1.0, 20.0), (0.5, 3.0, 20.0)])
+def test_c_bounds_past_the_svd_floor(rates):
+    # sigma_min / sigma_max is about e^-1170 at T = 60, far below what one SVD of G_T resolves
+    f = DampingField.constant(np.diag(rates))
+    T, dt = 60.0, 1e-3
+    _, h = plan_steps(T, dt)
+    fb = finite_time_bounds(f, T, sample_shell(2, 0.5, seed=4), dt=dt)
+    assert abs(fb.c_minus - rk4_rate(min(rates), h)) < 1e-11
+    assert abs(fb.c_plus - rk4_rate(max(rates), h)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_compound_obeys_liouville(n):
+    # |det G_T| = exp(-Re tr int a), so the order-n rate is the mean trace
+    f = random_field(n, 1, amplitude=0.6, seed=7 + n)
+    T = 50.0
+    mean_tr = np.real(np.trace(line_integral(f, POINT, T))) / T
+    assert abs(exterior_sums(f, POINT, T, 1e-3, n) + mean_tr) < 1e-9
 
 
 def test_step_outside_rk4_stability_is_rejected():
@@ -233,10 +278,11 @@ def test_step_outside_rk4_stability_is_rejected():
 
 def stream_rates(field, points, T, dt, renorm_every):
     # per-point rates, stacked in the order of `points`
-    stats = _StreamStats(field, points, T, dt, renorm_every)
+    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n), renorm_every)
+    top, bottom = _log_sigma_extremes(stats.compounds, field.n)
     return {
-        "top": stats.log_norm_top() / T,
-        "bottom": stats.log_norm_bottom() / T,
+        "top": top / T,
+        "bottom": bottom / T,
         "exponents": stats.exponents(),
         "half": stats.exponents_half(),
         "half_time": np.full(len(points), stats.half_time),

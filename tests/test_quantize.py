@@ -98,7 +98,7 @@ def test_weyl_momentum_observable(grid):
 def test_weyl_generic_path_matches_separable(grid):
     sym = symbol_cos_x()
     fast = weyl_build(sym, grid)
-    generic = weyl_build(Symbol(sym.fn, 1, True), grid)
+    generic = weyl_build(Symbol(sym.fn, 1), grid)
     assert np.max(np.abs(fast - generic)) < 1e-10
 
 
@@ -106,8 +106,8 @@ def test_positivity_of_psd_symbols(grid):
     sym_list = [
         symbol_one(),
         symbol_harmonic(),
-        Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1, True),
-        Symbol(lambda x, xi: np.exp(-(xi ** 2)) + 0.0 * x, 1, True),
+        Symbol(lambda x, xi: np.cos(x) ** 2 + 0.0 * xi, 1),
+        Symbol(lambda x, xi: np.exp(-(xi ** 2)) + 0.0 * x, 1),
     ]
     for sym in sym_list:
         A = antiwick_build(sym, grid)
@@ -125,7 +125,7 @@ def test_matrix_symbol_positivity_and_norm(grid):
         m[..., 1, 0] = 0.3 * s
         return m
 
-    A = antiwick_build(Symbol(mat, 2, True), grid)
+    A = antiwick_build(Symbol(mat, 2), grid)
     w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
     assert w[0] >= -1e-8
     xs = np.linspace(-L, L, 41)
@@ -145,7 +145,7 @@ def test_mollified_residuals(grid):
 
 
 def test_mollified_requires_symbolic_form(grid):
-    plain = Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1, True)
+    plain = Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1)
     with pytest.raises(ValueError):
         mollified_weyl_residual(plain, grid)
 
@@ -173,7 +173,7 @@ def test_circle_antiwick_matrix_blocks():
         m[..., 1, 1] = 2.0 + 0.0 * (x + xi)
         return m
 
-    A = antiwick_build_circle(Symbol(mat, 2, True), grid)
+    A = antiwick_build_circle(Symbol(mat, 2), grid)
     P = grid.points
     assert np.linalg.norm(A[:P, :P] - np.eye(P), ord=2) < 1e-6
     assert np.linalg.norm(A[P:, P:] - 2 * np.eye(P), ord=2) < 1e-6
@@ -272,5 +272,5 @@ def test_circle_hermitian_symbol_gives_hermitian_operator():
 
     for h in (0.1, 0.06):
         grid = CircleGrid.build(h, xi_cover=1.5)
-        A = antiwick_build_circle(Symbol(herm, 2, True), grid)
+        A = antiwick_build_circle(Symbol(herm, 2), grid)
         assert np.linalg.norm(A - A.conj().T) < 1e-12 * np.linalg.norm(A)
