@@ -75,8 +75,14 @@ def _weights(taus: np.ndarray) -> np.ndarray:
     return np.where(np.abs(taus.real) <= AXIS_TOL, 0.5, 1.0)
 
 
+def _require_positive(name: str, value: float):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def counting(spectrum: SpectrumSet, lam: float) -> int:
     """Number of reliable eigenvalues with Re tau in [0, lam]."""
+    _require_positive("lambda", lam)
     if lam > spectrum.reliable_limit * (1.0 + EDGE_TOL) + EDGE_TOL:
         raise ValueError(
             f"lambda={lam} exceeds the reliable limit {spectrum.reliable_limit}")
@@ -92,8 +98,7 @@ def weyl_prediction(n: int, manifold: Manifold, lam: float) -> float:
     (2 pi)^d factors cancel algebraically and the circle value is exactly
     2 n lam (d = 2 torus: pi n lam^2).
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _require_positive("lambda", lam)
     d = manifold.d
     if d == 1:
         unit_ball = 2.0
@@ -119,8 +124,7 @@ def weyl_report(spectrum: SpectrumSet, lam: float | None = None) -> dict:
 def strip_outliers(spectrum: SpectrumSet, c_minus: float, c_plus: float,
                    margin: float, re_min: float = 0.0) -> np.ndarray:
     """Reliable tau with Re >= re_min outside the widened confinement strip."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    _require_positive("margin", margin)
     taus = spectrum.reliable()
     taus = taus[taus.real >= re_min]
     outside = (taus.imag < c_minus - margin) | (taus.imag > c_plus + margin)
@@ -137,10 +141,8 @@ def band_outliers(spectrum: SpectrumSet, lambda_minus: float, lambda_plus: float
     expected signature on the circle is outlier counts per window dying out
     as the window moves right.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if window_width <= 0:
-        raise ValueError("window width must be positive")
+    _require_positive("epsilon", epsilon)
+    _require_positive("window_width", window_width)
     lo = -lambda_plus - epsilon
     hi = -lambda_minus + epsilon
     taus = spectrum.reliable()

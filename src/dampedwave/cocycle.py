@@ -10,10 +10,10 @@ linear with a precomputable coefficient, each RK4 step is a constant matrix;
 steps are assembled in vectorized batches and composed by pairwise products
 with running magnitude renormalization, which keeps horizons of hundreds of
 e-foldings inside double precision.  Batches pass between layers as arrays
-(units (B, n, n), logs (B,)) with G = e^{logs} units; ``ScaledMatrix`` is the
-single-trajectory form that ``propagate`` returns.  For n = 1 the exact
-exponential of the symbolic line integral is available as an independent
-oracle.
+(units (B, n, n), logs (B,)) with G = e^{logs} units of RMS entry size 1;
+``_compose`` forms every scaled product, and ``propagate`` returns one row as a
+``ScaledMatrix``.  For n = 1 the exact exponential of the symbolic line
+integral is available as an independent oracle.
 """
 
 from __future__ import annotations
@@ -34,50 +34,16 @@ _CHUNK_BUDGET = 80_000
 _RK4_REAL_LIMIT = 2.78
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaledMatrix:
-    """A matrix stored as e^{log_scale} * unit with ||unit||_2 in [1/2, 2].
+    """One cocycle value e^{log_scale} * unit, the unit of RMS entry size 1.
 
-    The split representation keeps long-horizon cocycle values (which decay
-    or grow like e^{Lambda t}) representable far beyond the range of a raw
-    float64 matrix.
+    This is row b of a ``propagate_many`` batch; the split keeps values that
+    decay or grow like e^{Lambda t} representable far beyond float64 range.
     """
 
     unit: np.ndarray
     log_scale: float
-
-    @property
-    def n(self) -> int:
-        return self.unit.shape[0]
-
-    def value(self) -> np.ndarray:
-        """Materialize e^{log_scale}*unit; may over/underflow for |log| >~ 700."""
-        return np.exp(self.log_scale) * self.unit
-
-    def log_singular_values(self) -> np.ndarray:
-        """Descending log singular values of the represented matrix.
-
-        Only trustworthy down to about log(sigma_max) - 36: a single SVD
-        cannot resolve ratios below machine precision (entries below that
-        come back as -inf or noise).  Long-horizon spectral statistics use
-        compound products instead (see the lyapunov module).
-        """
-        with np.errstate(divide="ignore"):
-            return self.log_scale + np.log(np.linalg.svd(self.unit, compute_uv=False))
-
-    def log_abs_det(self) -> float:
-        sign, logdet = np.linalg.slogdet(self.unit)
-        return float(logdet + self.n * self.log_scale)
-
-    def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return _renormalized(self.unit @ other.unit, self.log_scale + other.log_scale)
-
-
-def _renormalized(unit: np.ndarray, log_scale: float) -> ScaledMatrix:
-    s = float(np.linalg.norm(unit, ord=2))
-    if s == 0.0 or not math.isfinite(s):
-        raise FloatingPointError("cocycle value lost to under/overflow")
-    return ScaledMatrix(unit / s, log_scale + math.log(s))
 
 
 def _check_horizon(T: float, dt: float):
@@ -262,9 +228,15 @@ def propagate_many(field: DampingField, starts: list[PhasePoint], T: float,
 
 
 def propagate(field: DampingField, start: PhasePoint, T: float, dt: float) -> ScaledMatrix:
-    """G_T(start) by fixed-step RK4 along the exact trajectory."""
+    """G_T(start) by fixed-step RK4 along the exact trajectory (one-row ``propagate_many``)."""
     units, logs = propagate_many(field, [start], T, dt)
-    return _renormalized(units[0], float(logs[0]))
+    return ScaledMatrix(units[0], float(logs[0]))
+
+
+def _phase_integral(w: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T e^{i w t} dt elementwise: (e^{i w T} - 1)/(i w), and T where |w| < 1e-12."""
+    res = np.abs(w) < 1e-12
+    return np.where(res, T, (np.exp(1j * w * T) - 1.0) / np.where(res, 1.0, 1j * w))
 
 
 def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarray:
@@ -275,13 +247,7 @@ def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarra
     includes k = 0) contribute linear terms T.
     """
     amp, om, As = _trajectory_modes(field, [start])
-    w = om[0]
-    factors = np.empty(len(w), dtype=complex)
-    res = np.abs(w) < 1e-12
-    factors[res] = T
-    wn = w[~res]
-    factors[~res] = (np.exp(1j * wn * T) - 1.0) / (1j * wn)
-    return np.einsum("j,jmn->mn", amp[0] * factors, As)
+    return np.einsum("j,jmn->mn", amp[0] * _phase_integral(om[0], T), As)
 
 
 def scalar_closed_form(field: DampingField, start: PhasePoint, T: float) -> float:
@@ -301,6 +267,6 @@ def cocycle_residual(field: DampingField, start: PhasePoint, s: float, t: float,
     G_ts = propagate(field, start, t + s, dt)
     G_s = propagate(field, start, s, dt)
     G_t = propagate(field, flow(start, s), t, dt)
-    comp = G_t @ G_s
-    diff = G_ts.unit - math.exp(comp.log_scale - G_ts.log_scale) * comp.unit
+    comp, comp_log = _compose(G_t.unit, G_t.log_scale, G_s.unit, G_s.log_scale)
+    diff = G_ts.unit - math.exp(comp_log - G_ts.log_scale) * comp
     return float(np.linalg.norm(diff, ord=2) / np.linalg.norm(G_ts.unit, ord=2))

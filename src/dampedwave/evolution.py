@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .cocycle import propagate_many
+from .cocycle import _phase_integral, propagate_many
 from .damping import DampingField
 from .geometry import TWO_PI, Manifold, PhasePoint
 from .quantize import CircleGrid, Symbol, antiwick_build_circle
@@ -89,7 +89,7 @@ def single_mode_state(N: int, k: int = 1, n: int = 1, component: int = 0,
     """u0 = amplitude * e^{ikx} in one vector component, u1 = 0."""
     if abs(k) > N:
         raise ValueError(f"mode {k} lies outside the cutoff N = {N}")
-    modes = mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
+    modes = _lattice(N, d)
     u = np.zeros((len(modes), n), dtype=complex)
     u[int(np.flatnonzero((modes == [k] + [0] * (d - 1)).all(axis=1))[0]), component] = amplitude
     return WaveState(u, np.zeros_like(u), 0.0, N, d)
@@ -136,9 +136,13 @@ def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
     return Trajectory(ts, *W.reshape((2, rows) + state.u.shape), state.N, state.d)
 
 
+def _lattice(N: int, d: int) -> np.ndarray:
+    """The cutoff-N modes of the circle (d = 1) or flat d-torus, as ``mode_lattice`` orders them."""
+    return mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
+
+
 def _mode_k2(N: int, d: int) -> np.ndarray:
-    modes = mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
-    return np.sum(modes.astype(float) ** 2, axis=1)
+    return np.sum(_lattice(N, d).astype(float) ** 2, axis=1)
 
 
 def _energies(u: np.ndarray, v: np.ndarray, N: int, d: int) -> np.ndarray:
@@ -165,8 +169,7 @@ def energy_balance_residual(field: DampingField, trajectory: Trajectory) -> floa
     if len(trajectory) < 3:
         raise ValueError("need at least three recorded states")
     N, d = trajectory.N, trajectory.d
-    modes = mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
-    D = multiplication_blocks(field, modes)
+    D = multiplication_blocks(field, _lattice(N, d))
     vol = TWO_PI ** d
     ts = trajectory.ts
     V = trajectory.v.reshape(len(ts), -1)
@@ -214,10 +217,7 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
             eta = -0.5 * xi
             w = 2.0 * np.multiply.outer(eta, kvec)
             phases = np.exp(1j * np.multiply.outer(y, kvec))
-            T2 = 2.0 * t
-            factors = np.where(np.abs(w) < 1e-12, T2,
-                               (np.exp(1j * w * T2) - 1.0) / np.where(np.abs(w) < 1e-12, 1.0, 1j * w))
-            integral = np.sum(phases * factors * avals, axis=-1)
+            integral = np.sum(phases * _phase_integral(w, 2.0 * t) * avals, axis=-1)
             return np.exp(-np.real(integral))
 
         return Symbol(fn, 1, label="cocycle")
@@ -283,27 +283,18 @@ def factorization_residual(field: DampingField, t: float, h: float, N: int | Non
     P = 2 * N
     grid = CircleGrid(P, h)
     n = field.n
-    x = grid.x
     k = np.fft.fftfreq(P, d=1.0 / P)
     F = np.fft.fft(np.eye(P), axis=0)
     Finv = F.conj().T / P
 
-    free_mult = np.exp(1j * t * h * k * k)
-    E_free_scalar = Finv @ (free_mult[:, None] * F)
-    P_scalar = Finv @ ((h * h * k * k)[:, None] * F)
-
-    a_vals = np.stack([field.at(xx) for xx in x])  # (P, n, n)
-    if n == 1:
-        P_full = P_scalar + 2j * h * np.diag(a_vals[:, 0, 0].real)
-        E_free = E_free_scalar
-    else:
-        # component-major layout: block (c, b) acts diagonally in x
-        P_full = np.kron(np.eye(n), P_scalar).astype(complex)
-        for c in range(n):
-            for b in range(n):
-                P_full[c * P:(c + 1) * P, b * P:(b + 1) * P] += \
-                    2j * h * np.diag(a_vals[:, c, b])
-        E_free = np.kron(np.eye(n), E_free_scalar)
+    # component-major layout: each operator is n diagonal copies of its scalar
+    # form, and block (c, b) of the damping acts diagonally in x
+    E_free = np.kron(np.eye(n), Finv @ (np.exp(1j * t * h * k * k)[:, None] * F))
+    P_full = np.kron(np.eye(n), Finv @ ((h * h * k * k)[:, None] * F))
+    a_vals = np.stack([field.at(xx) for xx in grid.x])  # (P, n, n)
+    for c in range(n):
+        for b in range(n):
+            P_full[c * P:(c + 1) * P, b * P:(b + 1) * P] += 2j * h * np.diag(a_vals[:, c, b])
     E_damped = expm((1j * t / h) * P_full)
 
     u_sym = test_symbol if test_symbol is not None else shell_cutoff_symbol(n)

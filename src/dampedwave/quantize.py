@@ -15,7 +15,8 @@ the symbol values gives every center's Toeplitz factor, and each lag
 diagonal is one more gemm over the centers.  The Weyl operator is built
 from K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with
 momentum nodes dense enough that the discrete kernel has no replica
-within the box.
+within the box; entry (p, q) reads the same phase-table gemm at offset
+(p - q) dx and midpoint index p + q.
 
 Matrix-valued symbols quantize entrywise against the scalar projector
 weights.  A periodized circle variant backs the propagator-factorization
@@ -51,13 +52,13 @@ class GridSpec:
     xi_max: float = 3.0
 
     def __post_init__(self):
-        if self.h <= 0 or self.L <= 0 or self.points < 8:
+        if not (self.h > 0 and self.L > 0) or self.points < 8:
             raise ValueError("need h > 0, L > 0 and a non-trivial grid")
         if self.dx > math.sqrt(self.h) / 4.0 + 1e-12:
             raise ValueError(
                 f"grid spacing {self.dx:.4g} does not resolve sqrt(h)/4 = "
                 f"{math.sqrt(self.h)/4:.4g}")
-        if self.xi_max < 3.0:
+        if not self.xi_max >= 3.0:
             raise ValueError("xi_max must be at least 3")
 
     @property
@@ -76,6 +77,9 @@ class GridSpec:
     @classmethod
     def build(cls, L: float, h: float, xi_max: float = 3.0) -> "GridSpec":
         """Choose the point count so the Nyquist band clears xi_max + tails."""
+        for name, value in (("h", h), ("L", L), ("xi_max", xi_max)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         dx = min(math.sqrt(h) / 4.0, math.pi * h / (xi_max + TAIL_CUT * math.sqrt(h)))
         return cls(L, int(math.ceil(2.0 * L / dx)), h, xi_max)
 
@@ -184,22 +188,32 @@ def _aw_nodes(grid: GridSpec):
     return xs, xis, wx * sxi / (2.0 * math.pi * h)
 
 
+def _lag_table(symbol: Symbol, centers, offsets, xis, weight: float, h: float) -> np.ndarray:
+    """weight * sum_k a(c, xi_k) e^{i o xi_k / h} for every offset o and center c.
+
+    One gemm of the (offset x xi) phase table with the symbol values; the
+    symbol is called once per center.  Returns (len(offsets), len(centers), n*n).
+    """
+    nxi, nn = len(xis), symbol.n ** 2
+    vals = np.stack([np.asarray(symbol(c, xis)).reshape(nxi, nn) for c in centers])
+    phases = np.exp(1j * np.outer(offsets, xis) / h)
+    T = phases @ np.moveaxis(weight * vals, 1, 0).reshape(nxi, -1)
+    return T.reshape(len(offsets), len(centers), nn)
+
+
 def _aw_core(symbol: Symbol, y, centers, lo, hi, xis, w, h, dx) -> np.ndarray:
     """sum_c dx (g_c g_c^T) o Toeplitz(t_c), term c on the window [lo_c, hi_c) of y.
 
     g_c is the Gaussian of center c and t_c(m) = w sum_k a(x_c, xi_k)
-    e^{i m dx xi_k / h} its momentum sum at lag m.  The symbol is called once
-    per center.  Returns (n, len(y), n, len(y)): block (a, b) at [a, :, b, :].
+    e^{i m dx xi_k / h} its momentum sum at lag m, read from ``_lag_table``.
+    Returns (n, len(y), n, len(y)): block (a, b) at [a, :, b, :].
     """
-    N, nxi, n = len(y), len(xis), symbol.n
-    vals = np.stack([np.asarray(symbol(x0, xis)).reshape(nxi, n * n) for x0 in centers])
+    N, n = len(y), symbol.n
     j = np.arange(N)[:, None]
     g = (h * math.pi) ** (-0.25) * np.exp(-((y[:, None] - centers) ** 2) / (2.0 * h))
     G = np.where((j >= lo) & (j < hi), g, 0.0)
     span = int(np.max(hi - lo))
-    phases = np.exp(1j * np.outer(np.arange(1 - span, span) * dx, xis) / h)
-    T = phases @ np.moveaxis((w * dx) * vals, 1, 0).reshape(nxi, -1)  # every t_c in one gemm
-    T = T.reshape(2 * span - 1, len(centers), n * n)
+    T = _lag_table(symbol, centers, np.arange(1 - span, span) * dx, xis, w * dx, h)
     # lags +m and -m side by side, as reals so each lag is one real gemm
     Tpm = np.concatenate([T[span - 1:], T[span - 1::-1]], axis=2).view(np.float64)
     op = np.zeros((n, N, n, N), dtype=complex)
@@ -228,41 +242,26 @@ def antiwick_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
 
 
 def weyl_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
-    """Dense Weyl operator matrix from midpoint kernel quadrature."""
+    """Dense Weyl operator matrix from midpoint kernel quadrature; separable
+    scalar symbols sum one Toeplitz xi-factor per term f(x) g(xi)."""
     y, h, dx = grid.x, grid.h, grid.dx
     P, n = grid.points, symbol.n
     s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)  # no kernel replica within the box
     xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
     pref = dx * sxi / (2.0 * math.pi * h)
-    offsets = y[:, None] - y[None, :]
+    offsets = np.arange(1 - P, P) * dx
+    p = np.arange(P)
+    lag = p[:, None] - p[None, :] + (P - 1)  # index of the offset (p - q) dx
     if symbol.xy_parts is not None and n == 1:
-        # separable fast path: each term f(x) g(xi) has a Toeplitz xi-factor
-        # over the unique offsets m*dx
         mids = 0.5 * (y[:, None] + y[None, :])
+        tphase = np.exp(1j * np.outer(offsets, xis) / h)
         op = np.zeros((P, P), dtype=complex)
-        m = np.arange(-(P - 1), P)
-        take = (np.arange(P)[:, None] - np.arange(P)[None, :]) + (P - 1)
         for fx, gxi in symbol.xy_parts:
-            phases = np.exp(1j * np.outer(m * dx, xis) / h)
-            tvals = phases @ gxi(xis) * pref
-            op += fx(mids) * tvals[take]
+            op += fx(mids) * (tphase @ gxi(xis) * pref)[lag]
         return op
-    # generic chunked kernel quadrature
-    op = np.zeros((P * n, P * n), dtype=complex)
-    chunk = max(1, int(2e6 // (P * len(xis))))
-    for j0 in range(0, P, chunk):
-        j1 = min(j0 + chunk, P)
-        mid = 0.5 * (y[:, None] + y[None, j0:j1])
-        phase = np.exp(1j * offsets[:, j0:j1, None] * xis[None, None, :] / h)
-        vals = np.asarray(symbol(mid[..., None], xis[None, None, :]))
-        if n == 1:
-            op[:, j0:j1] += pref * np.sum(vals * phase, axis=-1)
-        else:
-            K = pref * np.sum(vals * phase[..., None, None], axis=2)
-            for a in range(n):
-                for b in range(n):
-                    op[a * P:(a + 1) * P, b * P + j0:b * P + j1] += K[:, :, a, b]
-    return op
+    mids = -grid.L + (np.arange(2 * P - 1) + 1) * (0.5 * dx)  # (y_p + y_q)/2 at p + q
+    K = _lag_table(symbol, mids, offsets, xis, pref, h)[lag, p[:, None] + p[None, :]]
+    return K.reshape(P, P, n, n).transpose(2, 0, 3, 1).reshape(n * P, n * P)
 
 
 def certified_compressor(grid: GridSpec) -> np.ndarray:
@@ -360,7 +359,7 @@ class CircleGrid:
     h: float
 
     def __post_init__(self):
-        if self.points < 8 or self.h <= 0:
+        if self.points < 8 or not self.h > 0:
             raise ValueError("need points >= 8 and h > 0")
         if self.dx > math.sqrt(self.h) / 4.0 + 1e-12:
             raise ValueError("circle grid spacing does not resolve sqrt(h)/4")

@@ -221,6 +221,28 @@ def test_quantize_check_command(tmp_path):
     assert checks["norm_bound_pass"] and checks["mollified_pass"]
 
 
+QUANTIZE = {"quantize": {"h": 0.1, "L": 5.0}}
+
+
+@pytest.mark.parametrize("command, base, section, key, value", [
+    ("quantize-check", QUANTIZE, "quantize", "h", 0),
+    ("quantize-check", QUANTIZE, "quantize", "h", -0.1),
+    ("quantize-check", QUANTIZE, "quantize", "L", float("nan")),
+    ("quantize-check", QUANTIZE, "quantize", "xi_max", float("nan")),
+    ("quantize-check", QUANTIZE, "quantize", "xi_max", float("inf")),
+    ("weyl", CONSTANT, "analysis", "lambda", float("nan")),
+    ("bands", CONSTANT, "analysis", "epsilon", float("nan")),
+    ("bands", CONSTANT, "analysis", "window_width", float("nan")),
+])
+def test_zero_and_nan_values_rejected(tmp_path, capsys, command, base, section, key, value):
+    cfg = dict(base, output={"dir": str(tmp_path / "out")})
+    cfg[section] = dict(base.get(section, {}), **{key: value})
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_norm_bound_by_cholesky():
     from dampedwave.cli import _norm_at_most
 

@@ -5,7 +5,6 @@ import pytest
 
 from dampedwave import cocycle
 from dampedwave.cocycle import (
-    ScaledMatrix,
     _compose,
     _field_along,
     _rk4_step_matrices,
@@ -128,7 +127,8 @@ def test_determinant_identity():
     T = 10.0
     G = propagate(f, SHELL_POINT, T, 1e-3)
     trace_integral = np.real(np.trace(line_integral(f, SHELL_POINT, T)))
-    assert abs(G.log_abs_det() + trace_integral) < 1e-6
+    log_abs_det = np.linalg.slogdet(G.unit)[1] + 2 * G.log_scale
+    assert abs(log_abs_det + trace_integral) < 1e-6
 
 
 def test_line_integral_against_quadrature():
@@ -149,8 +149,9 @@ def test_propagate_many_matches_single():
     norms = log_norm2(units, logs)
     for b, p in enumerate(pts):
         G = propagate(f, p, 8.0, 1e-3)
-        assert abs(norms[b] - G.log_singular_values()[0]) < 1e-10
-        assert np.allclose(np.exp(logs[b]) * units[b], G.value(), rtol=0, atol=1e-10)
+        assert abs(norms[b] - G.log_scale - np.log(np.linalg.svd(G.unit, compute_uv=False)[0])) < 1e-10
+        assert np.allclose(np.exp(logs[b]) * units[b], math.exp(G.log_scale) * G.unit,
+                           rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf])
@@ -169,19 +170,6 @@ def test_propagate_rejects_bad_steps():
         propagate(f, SHELL_POINT, -1.0, 1e-3)
     with pytest.raises(ValueError):
         propagate(f, SHELL_POINT, math.nan, 1e-3)
-
-
-def test_scaled_matrix_algebra():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    B = ScaledMatrix(M / np.linalg.norm(M, 2), 3.0)
-    C = B @ B
-    assert np.allclose(math.exp(C.log_scale) * C.unit, math.exp(6.0) * (B.unit @ B.unit),
-                       rtol=1e-12, atol=0)
-    svals = B.log_singular_values()
-    assert svals[0] >= svals[-1]
-    assert B.log_abs_det() == pytest.approx(float(np.log(abs(np.linalg.det(M))))
-                                            - 2 * math.log(np.linalg.norm(M, 2)) + 6.0)
 
 
 def expanded_rk4_steps(A_half, h):

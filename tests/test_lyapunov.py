@@ -190,8 +190,8 @@ def test_c_bounds_do_not_depend_on_chunk_budget_or_sample_order(monkeypatch):
 
 def direct_svd_bounds(field, points, T, dt):
     # c_minus/c_plus from one SVD of each materialized G_T
-    svals = np.array([np.linalg.svd(propagate(field, p, T, dt).value(), compute_uv=False)
-                      for p in points])
+    Gs = [propagate(field, p, T, dt) for p in points]
+    svals = np.array([np.linalg.svd(np.exp(G.log_scale) * G.unit, compute_uv=False) for G in Gs])
     return -np.max(np.log(svals[:, 0])) / T, -np.min(np.log(svals[:, -1])) / T
 
 

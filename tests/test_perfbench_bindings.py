@@ -6,14 +6,16 @@ counters read call arguments by parameter name.  Installing it here makes
 a refactor that unbinds or renames one of them fail this suite.
 """
 
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dampedwave import cocycle, evolution, lyapunov
-from dampedwave.damping import random_field
-from dampedwave.geometry import sample_shell
+from dampedwave.damping import one_plus_cos, random_field
+from dampedwave.geometry import PhasePoint, sample_shell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +46,17 @@ def test_tracer_installs_and_restores(tracer_module):
     assert t.counts["propagate_calls"] == 1
     assert t.counts["qr_count"] == 2 * 10
     assert t.counts["rk4_steps"] == 3 * 100 + 2 * 100 + 100
+
+
+def test_closed_form_job_reads_propagate():
+    # the cocycle workload's closed_form job reads exp(log_scale) * unit[0, 0].real
+    f = one_plus_cos()
+    p = PhasePoint((0.4,), (math.sqrt(0.5),))
+    G = cocycle.propagate(f, p, 6.0, 1e-3)
+    assert G.unit.shape == (1, 1) and isinstance(G.log_scale, float)
+    exact = cocycle.scalar_closed_form(f, p, 6.0)
+    assert abs(math.exp(G.log_scale) * G.unit[0, 0].real - exact) <= 1e-8 * exact
+    f2 = random_field(2, 1, amplitude=0.7, seed=3)
+    units, logs = cocycle.propagate_many(f2, [p], 6.0, 1e-3)
+    G2 = cocycle.propagate(f2, p, 6.0, 1e-3)
+    assert np.array_equal(G2.unit, units[0]) and G2.log_scale == logs[0]

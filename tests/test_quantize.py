@@ -102,6 +102,25 @@ def test_weyl_generic_path_matches_separable(grid):
     assert np.max(np.abs(fast - generic)) < 1e-10
 
 
+def test_weyl_matrix_symbol_blocks(grid):
+    # diag(cos x, xi): the diagonal blocks are the scalar operators, the off-diagonal ones vanish
+    def diag(x, xi):
+        m = np.zeros(np.broadcast(x, xi).shape + (2, 2))
+        m[..., 0, 0] = np.cos(x) + 0.0 * xi
+        m[..., 1, 1] = xi + 0.0 * x
+        return m
+
+    P = grid.points
+    W = weyl_build(Symbol(diag, 2), grid)
+    assert W.shape == (2 * P, 2 * P)
+    scale = np.max(np.abs(W))
+    for (a, b), ref in {(0, 0): weyl_build(symbol_cos_x(), grid),
+                        (1, 1): weyl_build(symbol_xi(), grid),
+                        (0, 1): 0.0, (1, 0): 0.0}.items():
+        block = W[a * P:(a + 1) * P, b * P:(b + 1) * P]
+        assert np.max(np.abs(block - ref)) < 1e-12 * scale
+
+
 def test_positivity_of_psd_symbols(grid):
     sym_list = [
         symbol_one(),
