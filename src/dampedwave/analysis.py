@@ -192,7 +192,10 @@ def cluster_histogram(spectrum: SpectrumSet, window: tuple, bins: int = 20,
     taus = taus[(taus.real >= re_min) & (taus.real <= re_max)]
     if taus.size == 0:
         return ClusterHistogram(window, np.zeros(0, dtype=int), np.zeros(0))
-    counts, edges = np.histogram(taus.imag, bins=bins)
+    lo, hi = float(taus.imag.min()), float(taus.imag.max())
+    if hi - lo <= EDGE_TOL:  # a spread of a few ulps is one point: numpy's unit-width range
+        lo, hi = 0.5 * (lo + hi) - 0.5, 0.5 * (lo + hi) + 0.5
+    counts, edges = np.histogram(taus.imag, bins=bins, range=(lo, hi))
     masses = {}
     if exponents is not None:
         exps = getattr(exponents, "exponents", exponents)

@@ -187,12 +187,11 @@ def extremal_bounds(field: DampingField, grid_points: int | None = None) -> Extr
     if grid_points < 2 * K + 1:
         raise ValueError(f"grid_points={grid_points} cannot resolve K={K}")
     grid = 2.0 * math.pi * np.arange(grid_points) / grid_points
-    lo, hi = math.inf, -math.inf
-    for x in np.stack(np.meshgrid(*([grid] * field.d), indexing="ij"), axis=-1).reshape(-1, field.d):
-        w = np.linalg.eigvalsh(field.at(x))
-        lo = min(lo, w[0])
-        hi = max(hi, w[-1])
-    return ExtremalBounds(float(lo), float(hi), grid_points)
+    xs = np.stack(np.meshgrid(*([grid] * field.d), indexing="ij"), axis=-1).reshape(-1, field.d)
+    ks, As = field.modes()
+    H = np.tensordot(np.exp(1j * xs @ ks.T), As, axes=(1, 0))
+    w = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+    return ExtremalBounds(float(w[:, 0].min()), float(w[:, -1].max()), grid_points)
 
 
 def random_field(n: int, K: int, amplitude: float = 1.0, seed: int = 0, d: int = 1) -> DampingField:

@@ -175,7 +175,7 @@ def energy_balance_residual(field: DampingField, trajectory: Trajectory) -> floa
     V = trajectory.v.reshape(len(ts), -1)
     Es = 0.5 * vol * (np.sum(np.abs(V) ** 2, axis=1)
                       + np.einsum("m,smc->s", _mode_k2(N, d), np.abs(trajectory.u) ** 2))
-    flux = 2.0 * vol * np.real(np.einsum("si,ij,sj->s", V.conj(), D, V))
+    flux = 2.0 * vol * np.real(np.vecdot(V, V @ D.T))
     dE = (Es[2:] - Es[:-2]) / (ts[2:] - ts[:-2])
     return float(np.max(np.abs(dE + flux[1:-1]) / (1.0 + Es[1:-1])))
 

@@ -15,6 +15,15 @@ the 2N eigenvalue nearest each reliable tau = t by inverse iteration on one
 banded LU at sigma = i t, moved off i t only if a pivot is exactly zero (an
 eigenvalue shared by both cutoffs), so a distance is at most 2|sigma - i t|
 above the true one, never below; non-convergence raises LinAlgError naming t.
+
+For a real-valued field (every scalar field, every real symmetric matrix
+field) A_{-k} = conj(A_k), so G commutes with complex conjugation composed
+with the mode flip P: k -> -k, components kept, i.e. conj(G) = PGP.  Then
+S = ((1+i)/2) I + ((1-i)/2) P is unitary with conj(S) = PS, and
+S^H G S = Re G + Im(GP - PG)/2 is a real matrix similar to G: the dense
+eigensolve runs on it in real arithmetic, and tau <-> -conj(tau) pairs
+exactly.  The test is exact equality on the assembled matrix; complex
+Hermitian fields fail it and are solved as they are.
 """
 
 from __future__ import annotations
@@ -170,13 +179,31 @@ def _field_hash(field: DampingField) -> str:
     return hashlib.sha256(field.to_json().encode()).hexdigest()[:16]
 
 
+def _real_form(G: np.ndarray, M: int, n: int) -> np.ndarray | None:
+    """S^H G S = Re G + Im(GP - PG) / 2 when conj(G) = PGP holds exactly, else None.
+
+    P flips mode m to M - 1 - m in both halves (the lattice is centrally
+    symmetric) and is read as a strided view; the checks and the result share
+    one real buffer."""
+    G6 = G.reshape(2, M, n, 2, M, n)
+    flipped = G6[:, ::-1, :, :, ::-1]
+    out = np.add(G6.imag, flipped.imag)
+    if out.any() or not np.array_equal(G6.real, flipped.real):
+        return None
+    np.subtract(G6.imag[:, :, :, :, ::-1], G6.imag[:, ::-1], out=out)
+    out *= 0.5
+    out += G6.real
+    return out.reshape(G.shape)
+
+
 def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEFAULT_RELIABILITY,
                     field: DampingField | None = None) -> SpectrumSet:
     """Dense eigendecomposition of the generator, mapped to tau = -i mu."""
     if not 0.0 < reliability_fraction <= 1.0:
         raise ValueError("reliability fraction must lie in (0, 1]")
+    real = _real_form(gen.matrix, len(gen.modes), gen.n)
     try:
-        mu = np.linalg.eigvals(gen.matrix)
+        mu = np.linalg.eigvals(gen.matrix if real is None else real)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolver failed on side {gen.side}: {exc}") from exc
     taus = -1j * mu
@@ -187,6 +214,7 @@ def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEF
         "n": gen.n,
         "side": gen.side,
         "field_hash": _field_hash(field) if field is not None else None,
+        "eig_form": "complex" if real is None else "real",
     }
     return SpectrumSet(taus, gen.N, reliability_fraction * gen.N, meta)
 

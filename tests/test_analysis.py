@@ -129,6 +129,13 @@ def test_cluster_histogram_single_cluster():
     assert all(v == pytest.approx(1.0) for v in hist.cluster_masses.values())
 
 
+def test_cluster_histogram_spread_of_ulps():
+    # Im tau spread over one ulp once raised "Too many bins for data range"
+    spec = SpectrumSet(np.array([1 + 0.5j, 2 + 1j * np.nextafter(0.5, 1)]), 8, 4.0)
+    hist = cluster_histogram(spec, (0.0, 3.0), bins=8)
+    assert hist.total == 2 and len(hist.edges) == 9
+
+
 def test_cluster_histogram_empty_window(spec_const):
     hist = cluster_histogram(spec_const, (31.9, 31.95), bins=4)
     assert hist.total == 0

@@ -77,6 +77,25 @@ def test_extremal_bounds_monotone_in_refinement():
     assert coarse.a_plus <= fine.a_plus + 1e-9
 
 
+@pytest.mark.parametrize("field,g", [
+    (random_field(1, 1, 0.6, seed=3, d=2), 24),
+    (random_field(2, 2, 0.9, seed=13), 64),
+    (random_field(3, 1, 0.8, seed=7), 16),
+    (DampingField.zero(2, 1), 8),
+])
+def test_extremal_bounds_matches_pointwise_scan(field, g):
+    # the batched scan against one eigvalsh per grid point on the naive evaluation
+    grid = 2.0 * math.pi * np.arange(g) / g
+    lo, hi = math.inf, -math.inf
+    for x in np.stack(np.meshgrid(*([grid] * field.d), indexing="ij"), axis=-1).reshape(-1, field.d):
+        H = naive_eval(field, x)
+        w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
+    eb = extremal_bounds(field, grid_points=g)
+    assert abs(eb.a_minus - lo) <= 1e-14 * (1.0 + abs(lo))
+    assert abs(eb.a_plus - hi) <= 1e-14 * (1.0 + abs(hi))
+
+
 def test_extremal_bounds_rejects_coarse_grid():
     with pytest.raises(ValueError):
         extremal_bounds(one_plus_cos(), grid_points=2)

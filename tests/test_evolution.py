@@ -187,7 +187,15 @@ def _reference_dump(records):
     return np.concatenate(parts).astype("<f8").tobytes()
 
 
-def _reference_residual(field, records, N):
+def _vecdot_flux(V, D):
+    return np.real(np.vecdot(V, V @ D.T))
+
+
+def _einsum_flux(V, D):
+    return np.real(np.einsum("si,ij,sj->s", V.conj(), D, V))
+
+
+def _reference_residual(field, records, N, flux_form=_vecdot_flux):
     modes = mode_lattice(CIRCLE, N)
     D = multiplication_blocks(field, modes)
     k2 = np.sum(modes.astype(float) ** 2, axis=1)
@@ -196,7 +204,7 @@ def _reference_residual(field, records, N):
     V = np.stack([v.reshape(-1) for _, _, v in records])
     Es = 0.5 * (2 * math.pi) * (np.sum(np.abs(V) ** 2, axis=1)
                                 + np.einsum("m,smc->s", k2, np.abs(U) ** 2))
-    flux = 2.0 * (2 * math.pi) * np.real(np.einsum("si,ij,sj->s", V.conj(), D, V))
+    flux = 2.0 * (2 * math.pi) * flux_form(V, D)
     dE = (Es[2:] - Es[:-2]) / (ts[2:] - ts[:-2])
     return float(np.max(np.abs(dE + flux[1:-1]) / (1.0 + Es[1:-1])))
 
@@ -223,6 +231,21 @@ def test_trajectory_matches_per_step_oracle(n, stride):
     for i in range(len(traj)):
         assert energy(traj[i]) == Es[i]
         assert energy(traj[i]) == _reference_energy(*ref[i][1:], N)
+
+
+def test_balance_flux_matches_einsum_form():
+    # the decay command's shape (n = 1, S = 10 001 recorded states): the
+    # vecdot flux and the residual built on it hold to the three-operand einsum
+    N, T, dt = 6, 2.0, 1e-4
+    f = one_plus_cos()
+    traj = evolve(assemble(f, CIRCLE, N), single_mode_state(N, k=2), T, dt, stride=2)
+    records = [(s.t, s.u, s.v) for s in traj]
+    V = traj.v.reshape(len(traj), -1)
+    D = multiplication_blocks(f, mode_lattice(CIRCLE, N))
+    fast, ref = _vecdot_flux(V, D), _einsum_flux(V, D)
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+    reference = _reference_residual(f, records, N, flux_form=_einsum_flux)
+    assert abs(energy_balance_residual(f, traj) - reference) <= 1e-12 * reference
 
 
 def test_factorization_baselines_small():

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import cocycle, evolution, lyapunov
+from dampedwave import cocycle, evolution, lyapunov, spectrum
 from dampedwave.damping import one_plus_cos, random_field
-from dampedwave.geometry import PhasePoint, sample_shell
+from dampedwave.geometry import Manifold, PhasePoint, sample_shell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +60,18 @@ def test_closed_form_job_reads_propagate():
     units, logs = cocycle.propagate_many(f2, [p], 6.0, 1e-3)
     G2 = cocycle.propagate(f2, p, 6.0, 1e-3)
     assert np.array_equal(G2.unit, units[0]) and G2.log_scale == logs[0]
+
+
+def test_eig_counters_read_both_forms(tracer_module):
+    # the spectral counters read gen.side and result.taus on the real and the complex form
+    circle = Manifold("circle", 1)
+    t = tracer_module.Tracer()
+    t.install()
+    try:
+        real = spectrum.solve(one_plus_cos(), circle, 12)
+        cplx = spectrum.solve(random_field(2, 1, amplitude=0.5, seed=3), circle, 8)
+    finally:
+        t.uninstall()
+    assert (real.meta["eig_form"], cplx.meta["eig_form"]) == ("real", "complex")
+    assert t.counts["eig_calls"] == 2
+    assert t.maxima["side_max"] == max(real.meta["side"], cplx.meta["side"]) == 68

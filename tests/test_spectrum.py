@@ -237,3 +237,43 @@ def test_inverse_iteration_cap_is_diagnosed(monkeypatch):
     monkeypatch.setattr(spectrum, "_INVERSE_STEPS", 1)
     with pytest.raises(np.linalg.LinAlgError, match="tau ="):
         convergence_check(random_field(1, 1, 0.6, seed=3, d=2), TORUS, 4)
+
+
+def _real_symmetric_field():
+    """A real symmetric 2 x 2 field with K = 1: A_0 real, A_1 complex symmetric, A_-1 = conj(A_1)."""
+    A0 = np.array([[0.7, 0.2], [0.2, 0.4]], dtype=complex)
+    A1 = np.array([[0.3 + 0.1j, 0.05 - 0.2j], [0.05 - 0.2j, -0.1 + 0.3j]])
+    return DampingField(2, 1, {(0,): A0, (1,): A1, (-1,): A1.conj()})
+
+
+REAL_CASES = [
+    (random_field(1, 1, 0.6, seed=3, d=2), TORUS, 5),
+    (one_plus_cos(), CIRCLE, 32),
+    (_real_symmetric_field(), CIRCLE, 16),
+]
+
+
+@pytest.mark.parametrize("field,manifold,N", REAL_CASES)
+def test_real_fields_take_the_real_form(field, manifold, N):
+    gen = assemble(field, manifold, N)
+    mu = np.linalg.eigvals(gen.matrix)
+    spec = eigenvalues_tau(gen, field=field)
+    assert spec.meta["eig_form"] == "real"
+    assert match_distance(1j * spec.taus, mu) <= 1e-10 * np.max(np.abs(mu))
+    assert match_distance(mu, 1j * spec.taus) <= 1e-10 * np.max(np.abs(mu))
+    # the real form makes the tau <-> -conj(tau) pairing exact
+    assert max(float(np.min(np.abs(spec.taus + np.conj(t)))) for t in spec.taus) == 0.0
+
+
+def test_complex_hermitian_field_keeps_the_complex_matrix(monkeypatch):
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def record(a):
+        seen.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", record)
+    assert solve(random_field(2, 1, 0.6, seed=1), CIRCLE, 8).meta["eig_form"] == "complex"
+    assert solve(one_plus_cos(), CIRCLE, 8).meta["eig_form"] == "real"
+    assert seen == [np.dtype(complex), np.dtype(float)]
