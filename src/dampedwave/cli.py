@@ -20,6 +20,7 @@ raised).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, damping, evolution, lyapunov, quantize, spectrum
-from .geometry import Manifold, PhasePoint
+from .geometry import Manifold, PhasePoint, sample_shell
 
 
 class ConfigError(Exception):
@@ -58,10 +59,42 @@ def _section(cfg: dict, name: str, default=None) -> dict:
     return sec
 
 
+def _number(sec: dict, name: str, key: str, default, integer: bool = False,
+            positive: bool = False):
+    """Config value ``sec[key]`` (``default`` when absent) as a finite float, or
+    as an int when ``integer``; ``name`` is the section's path in the config.
+
+    Strings, booleans, lists, NaN, infinities, numbers beyond float range,
+    non-integral counts and, when ``positive``, values <= 0 are a ConfigError
+    that names ``name.key``.
+    """
+    v = sec.get(key, default)
+    if integer:
+        what = "a positive integer" if positive else "an integer"
+    else:
+        what = "positive and finite" if positive else "a finite number"
+    bad = isinstance(v, bool) or not isinstance(v, (int, float))
+    if not bad:
+        if isinstance(v, float):
+            bad = not math.isfinite(v) or (integer and not v.is_integer())
+        elif not integer:
+            bad = abs(v) > sys.float_info.max
+        bad = bad or (positive and not v > 0)
+    if bad:
+        raise ConfigError(f"config {name}.{key} must be {what}, got {json.dumps(v)}")
+    return int(v) if integer else float(v)
+
+
+def _optional(sec: dict, name: str, key: str, **kw):
+    """``_number`` of an optional key: None when it is absent or null."""
+    return None if sec.get(key) is None else _number(sec, name, key, None, **kw)
+
+
 def _manifold(cfg: dict) -> Manifold:
     sec = _section(cfg, "manifold", {"kind": "circle", "d": 1})
+    d = _number(sec, "manifold", "d", 1, integer=True)
     try:
-        return Manifold(sec.get("kind", "circle"), int(sec.get("d", 1)))
+        return Manifold(sec.get("kind", "circle"), d)
     except ValueError as exc:
         raise ConfigError(f"config manifold: {exc}")
 
@@ -74,13 +107,15 @@ def _field(cfg: dict, manifold: Manifold) -> damping.DampingField:
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"config damping.field: {exc}")
     if "generator" in sec:
-        g = sec["generator"]
-        try:
-            return damping.random_field(int(g["n"]), int(g["K"]),
-                                        float(g.get("amplitude", 1.0)),
-                                        int(g.get("seed", 0)), d=manifold.d)
-        except KeyError as exc:
-            raise ConfigError(f"config damping.generator misses field {exc}")
+        g = _section(sec, "generator")
+        for key in ("n", "K"):
+            if key not in g:
+                raise ConfigError(f"config damping.generator misses field {key!r}")
+        name = "damping.generator"
+        return damping.random_field(_number(g, name, "n", None, integer=True),
+                                    _number(g, name, "K", None, integer=True),
+                                    _number(g, name, "amplitude", 1.0),
+                                    _number(g, name, "seed", 0, integer=True), d=manifold.d)
     raise ConfigError("config damping needs either 'field' or 'generator'")
 
 
@@ -97,24 +132,31 @@ def _json_report(doc: dict) -> str:
 
 def _band_params(cfg: dict):
     sec = _section(cfg, "lyapunov")
-    p = {
-        "T": float(sec.get("T", lyapunov.DEFAULT_HORIZON)),
-        "m": int(sec.get("samples", lyapunov.DEFAULT_SAMPLES)),
-        "dt": float(sec.get("dt", lyapunov.DEFAULT_DT)),
-        "seed": int(sec.get("seed", 0)),
-        "renorm_every": int(sec.get("renorm_every", lyapunov.DEFAULT_RENORM_EVERY)),
+    return {
+        "T": _number(sec, "lyapunov", "T", lyapunov.DEFAULT_HORIZON, positive=True),
+        "m": _number(sec, "lyapunov", "samples", lyapunov.DEFAULT_SAMPLES, integer=True,
+                     positive=True),
+        "dt": _number(sec, "lyapunov", "dt", lyapunov.DEFAULT_DT, positive=True),
+        "seed": _number(sec, "lyapunov", "seed", 0, integer=True),
+        "renorm_every": _number(sec, "lyapunov", "renorm_every", lyapunov.DEFAULT_RENORM_EVERY,
+                                integer=True, positive=True),
     }
-    for key, name in (("T", "T"), ("m", "samples"), ("dt", "dt"), ("renorm_every", "renorm_every")):
-        if not p[key] > 0:
-            raise ConfigError(f"config lyapunov.{name} must be positive, got {p[key]}")
-    return p
 
 
 def _band_estimates(field: damping.DampingField, p: dict) -> lyapunov.BandEstimates:
-    """Band edges and C bounds: QR on tori; exact Floquet values on the circle's
-    two shell orbits, with C = -(edges) and the step error of a rerun at dt/2."""
+    """Band edges and C bounds with the step error of a rerun at dt/2: QR on
+    tori, where only the two samples attaining the edges are rerun; exact
+    Floquet values on the circle's two shell orbits, with C = -(edges)."""
     if field.d != 1:
-        return lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+        est = lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+        points = sample_shell(p["m"], lyapunov.SHELL_ENERGY, d=field.d, seed=p["seed"])
+        lo, hi = est.diagnostics["lambda_minus_sample"], est.diagnostics["lambda_plus_sample"]
+        half_step = {i: lyapunov.lyapunov_spectrum(field, points[i], p["T"], 0.5 * p["dt"],
+                                                   p["renorm_every"]).exponents
+                     for i in {lo, hi}}
+        step_error = max(abs(est.lambda_minus - half_step[lo][0]),
+                         abs(est.lambda_plus - half_step[hi][-1]))
+        return dataclasses.replace(est, diagnostics={**est.diagnostics, "step_error": step_error})
     xi = math.sqrt(lyapunov.SHELL_ENERGY)
     orbits = [PhasePoint((0.0,), (xi,)), PhasePoint((0.0,), (-xi,))]
     period = math.pi / xi
@@ -147,8 +189,8 @@ def run_lyapunov(cfg: dict, outdir: Path) -> int:
 
 def _solve_spectrum(cfg: dict, manifold: Manifold, field: damping.DampingField):
     sec = _section(cfg, "solver")
-    N = int(sec.get("N", 64))
-    rel = float(sec.get("reliability", spectrum.DEFAULT_RELIABILITY))
+    N = _number(sec, "solver", "N", 64, integer=True)
+    rel = _number(sec, "solver", "reliability", spectrum.DEFAULT_RELIABILITY)
     return spectrum.solve(field, manifold, N, rel)
 
 
@@ -168,11 +210,11 @@ def run_bands(cfg: dict, outdir: Path) -> int:
     manifold = _manifold(cfg)
     field = _field(cfg, manifold)
     p = _band_params(cfg)
+    asec = _section(cfg, "analysis")
+    eps = _number(asec, "analysis", "epsilon", 0.1, positive=True)
+    width = _number(asec, "analysis", "window_width", 1.0, positive=True)
     spec = _solve_spectrum(cfg, manifold, field)
     est = _band_estimates(field, p)
-    asec = _section(cfg, "analysis")
-    eps = float(asec.get("epsilon", 0.1))
-    width = float(asec.get("window_width", 1.0))
     report = analysis.band_outliers(spec, est.lambda_minus, est.lambda_plus, eps,
                                     width, c_minus=est.c_minus, c_plus=est.c_plus)
     doc = report.to_dict()
@@ -193,17 +235,17 @@ def run_bands(cfg: dict, outdir: Path) -> int:
 def run_weyl(cfg: dict, outdir: Path) -> int:
     manifold = _manifold(cfg)
     field = _field(cfg, manifold)
-    spec = _solve_spectrum(cfg, manifold, field)
     asec = _section(cfg, "analysis")
-    lam = asec.get("lambda")
-    rep = analysis.weyl_report(spec, float(lam) if lam is not None else None)
+    lam = _optional(asec, "analysis", "lambda", positive=True)
+    tol = _optional(asec, "analysis", "ratio_tolerance")
+    spec = _solve_spectrum(cfg, manifold, field)
+    rep = analysis.weyl_report(spec, lam)
     rep["config_hash"] = _config_hash(cfg)
     rep["params"] = {"N": spec.N, "lambda": rep["lambda"]}
     path = _write(outdir, "weyl.json", _json_report(rep))
     print(f"count={rep['count']} prediction={rep['prediction']:.6g} ratio={rep['ratio']:.6g}")
     print(f"wrote {path}")
-    tol = asec.get("ratio_tolerance")
-    if tol is not None and abs(rep["ratio"] - 1.0) > float(tol):
+    if tol is not None and abs(rep["ratio"] - 1.0) > tol:
         print(f"weyl ratio deviates more than {tol}", file=sys.stderr)
         return 2
     return 0
@@ -215,11 +257,12 @@ def run_decay(cfg: dict, outdir: Path) -> int:
         raise ConfigError("decay runs on the circle")
     field = _field(cfg, manifold)
     sec = _section(cfg, "evolution")
-    N = int(sec.get("N", 8))
-    T = float(sec.get("T", 10.0))
-    dt = float(sec.get("dt", 1e-4))
-    stride = int(sec.get("stride", 2))
-    mode = int(sec.get("mode", 1))
+    N = _number(sec, "evolution", "N", 8, integer=True)
+    T = _number(sec, "evolution", "T", 10.0)
+    dt = _number(sec, "evolution", "dt", 1e-4)
+    stride = _number(sec, "evolution", "stride", 2, integer=True)
+    mode = _number(sec, "evolution", "mode", 1, integer=True)
+    cap = _optional(sec, "evolution", "max_residual")
     gen = spectrum.assemble(field, manifold, N)
     state = evolution.single_mode_state(N, k=mode, n=field.n)
     traj = evolution.evolve(gen, state, T, dt, stride)
@@ -237,8 +280,7 @@ def run_decay(cfg: dict, outdir: Path) -> int:
     }
     path = _write(outdir, "decay.json", _json_report(doc))
     print(f"balance residual {residual:.3e}; wrote {path}")
-    cap = sec.get("max_residual")
-    if cap is not None and residual > float(cap):
+    if cap is not None and residual > cap:
         print(f"balance residual above {cap}", file=sys.stderr)
         return 2
     return 0
@@ -272,9 +314,9 @@ def _norm_at_most(A: np.ndarray, s: float) -> bool:
 
 def run_quantize_check(cfg: dict, outdir: Path) -> int:
     sec = _section(cfg, "quantize")
-    h = float(sec.get("h", 0.05))
-    L = float(sec.get("L", 8.0))
-    xi_max = float(sec.get("xi_max", 3.0))
+    h = _number(sec, "quantize", "h", 0.05, positive=True)
+    L = _number(sec, "quantize", "L", 8.0, positive=True)
+    xi_max = _number(sec, "quantize", "xi_max", 3.0, positive=True)
     grid = quantize.GridSpec.build(L, h, xi_max)
     id_err = quantize.identity_error(grid)
     checks = {"identity_error": id_err, "identity_pass": bool(id_err < 1e-6)}

@@ -125,18 +125,28 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
     return M, (T / M if M else dt)
 
 
+def step_reach(field: DampingField, h: float) -> float:
+    """h * sum_k ||A_k||_2, a bound on h ||a(x)||_2 over the whole manifold.
+
+    ``window_products`` guards RK4's stability interval with it, and the QR
+    frame of ``lyapunov`` sizes its groups of steps by it.
+    """
+    _, As = field.modes()
+    return h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+
+
 def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt: float,
                     window: int = _DEFAULT_GROUP):
     """Yield cocycle transfer matrices over successive windows of RK4 steps.
 
     Yields arrays of shape (B, n_windows_in_chunk, n, n) in time order where
     index i advances G across `window` consecutive steps (the final window
-    of the run may be shorter).  The product of all yielded matrices,
-    rightmost factor first, is G_T.
+    of the run may be shorter; a window longer than the run is the run).
+    The product of all yielded matrices, rightmost factor first, is G_T.
 
-    Raises ValueError when h * sum_k ||A_k||_2 (a bound on h ||a(x)||_2)
-    reaches RK4's stability limit on the negative real axis, where the
-    scheme can grow a mode that the ODE damps.
+    Raises ValueError when ``step_reach`` reaches RK4's stability limit on
+    the negative real axis, where the scheme can grow a mode that the ODE
+    damps.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -144,12 +154,13 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
     M, h = plan_steps(T, dt)
     if M == 0:
         return
-    amp, om, As = _trajectory_modes(field, starts)
-    reach = h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+    reach = step_reach(field, h)
     if reach >= _RK4_REAL_LIMIT:
         raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
                          f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")
+    amp, om, As = _trajectory_modes(field, starts)
     n = field.n
+    window = min(window, M)
 
     steps_per_chunk = max(window, (_CHUNK_BUDGET // max(B, 1)) // window * window)
     s0 = 0

@@ -6,7 +6,8 @@ Two families of rates are estimated from the same trajectories:
   c_plus = -(1/T) min log sigma_min(G_T) over energy-shell samples, whose
   T -> infinity limits confine all but finitely many eigenfrequencies;
 * Lyapunov exponents via discrete QR (re-orthonormalize a propagated frame
-  every few steps and average the log diagonal), whose essential range over
+  once per group of ``renorm_every`` RK4 steps, clamped to the field's safe
+  group length, and average the log diagonal), whose essential range over
   the shell gives the band that carries the spectral density.
 
 All of them read one fold of the window transfer matrices
@@ -32,14 +33,16 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
-                      window_products)
+                      step_reach, window_products)
 from .damping import DampingField
 from .geometry import PhasePoint, flow, sample_shell
 
 DEFAULT_HORIZON = 200.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLES = 64
-DEFAULT_RENORM_EVERY = 10
+DEFAULT_RENORM_EVERY = 250
+#: bound on log cond of one QR group: 2 * sum_k ||A_k||_2 * (group duration)
+_GROUP_LOG_COND = 18.0
 SHELL_ENERGY = 0.5
 
 
@@ -123,6 +126,13 @@ class _StreamStats:
     frame loop runs one product and one QR per window; the R diagonals of a
     chunk are logged and summed once per chunk, and the snapshot is the
     running sum at the first window end at or after T/2.
+
+    The cadence that runs, ``self.renorm_every``, is ``renorm_every`` clamped
+    to ``safe_cadence``: a window product then has log-condition at most
+    ``_GROUP_LOG_COND``, so its small directions survive until the QR.  In
+    exact arithmetic the exponents do not depend on the cadence (the R
+    factors of successive QRs multiply), so the clamp only keeps rounding
+    from making them depend on it.
     """
 
     def __init__(self, field: DampingField, points: list[PhasePoint], T: float, dt: float,
@@ -136,6 +146,8 @@ class _StreamStats:
         rank_ok = True
         windows_done = 0
         half_logs, half_time = None, None
+        if renorm_every is not None:
+            renorm_every = min(renorm_every, safe_cadence(field, h))
         window = _DEFAULT_GROUP if renorm_every is None else renorm_every
         for W in window_products(field, points, T, dt, window=window):
             acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
@@ -163,6 +175,7 @@ class _StreamStats:
                     half_time = float(ends[hit[0]] * h)
             windows_done += k
         self.T = T
+        self.renorm_every = renorm_every
         self.compounds = acc
         self.qr_logs = qr_logs
         self.half_logs = half_logs if half_logs is not None else qr_logs.copy()
@@ -175,6 +188,16 @@ class _StreamStats:
 
     def exponents_half(self) -> np.ndarray:
         return np.sort(self.half_logs / self.half_time, axis=1)
+
+
+def safe_cadence(field: DampingField, h: float) -> int | float:
+    """Longest QR group, in RK4 steps of size h, whose product has
+    log-condition at most ``_GROUP_LOG_COND``: 2 * sum_k ||A_k||_2 * tau
+    bounds it over a group of duration tau.  Unbounded (inf) for a zero field."""
+    reach = step_reach(field, h)
+    if reach == 0.0:
+        return math.inf
+    return max(1, math.floor(0.5 * _GROUP_LOG_COND / reach))
 
 
 def _bound_orders(n: int) -> list:
@@ -295,7 +318,9 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
 
     Sharing trajectories keeps the finite-horizon ordering
     c_minus <= -lambda_plus <= -lambda_minus <= c_plus meaningful without
-    sampling noise between the two estimates.
+    sampling noise between the two estimates.  The diagnostics name the
+    shell samples (indices into ``sample_shell(m, SHELL_ENERGY, d, seed)``)
+    that attain lambda_minus and lambda_plus, and the QR cadence that ran.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -306,9 +331,11 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     c_minus, c_plus = _c_rates(stats.compounds, field.n, T)
     exps = stats.exponents()
     exps_half = stats.exponents_half()
-    lam_minus = float(np.min(exps[:, 0]))
-    lam_plus = float(np.max(exps[:, -1]))
+    lo, hi = int(np.argmin(exps[:, 0])), int(np.argmax(exps[:, -1]))
+    lam_minus, lam_plus = float(exps[lo, 0]), float(exps[hi, -1])
     diagnostics = {
+        "lambda_minus_sample": lo,
+        "lambda_plus_sample": hi,
         "half_horizon": stats.half_time,
         "lambda_minus_half": float(np.min(exps_half[:, 0])),
         "lambda_plus_half": float(np.max(exps_half[:, -1])),
@@ -316,7 +343,7 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
         "rank_ok": stats.rank_ok,
         "dt": dt,
         "seed": seed,
-        "renorm_every": renorm_every,
+        "renorm_every": stats.renorm_every,
         "source": "qr",
     }
     return BandEstimates(c_minus, c_plus, lam_minus, lam_plus, T, m, diagnostics)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dampedwave.cli import main
-from dampedwave.damping import random_field
-from dampedwave.lyapunov import band_estimates
+from dampedwave.damping import DampingField, random_field
+from dampedwave.geometry import sample_shell
+from dampedwave.lyapunov import band_estimates, lyapunov_spectrum
 
 UNDAMPED = {
     "manifold": {"kind": "circle", "d": 1},
@@ -140,9 +141,46 @@ def test_lyapunov_torus_reads_qr(tmp_path):
     cfg = dict(TORUS, output={"dir": str(tmp_path / "out")})
     assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 0
     doc = json.loads((tmp_path / "out" / "lyapunov.json").read_text())
-    est = band_estimates(random_field(2, 1, 0.6, seed=4, d=2), T=5.0, m=3, dt=0.002, seed=2)
+    f = random_field(2, 1, 0.6, seed=4, d=2)
+    est = band_estimates(f, T=5.0, m=3, dt=0.002, seed=2)
     assert doc["diagnostics"]["source"] == "qr"
-    assert {k: doc[k] for k in est.to_report()} == est.to_report()
+    # the CLI adds the step error of the two edge samples rerun at dt/2
+    points = sample_shell(3, 0.5, d=2, seed=2)
+    lo, hi = est.diagnostics["lambda_minus_sample"], est.diagnostics["lambda_plus_sample"]
+    half_lo = lyapunov_spectrum(f, points[lo], 5.0, 0.001).exponents[0]
+    half_hi = lyapunov_spectrum(f, points[hi], 5.0, 0.001).exponents[-1]
+    expected = est.to_report()
+    expected["diagnostics"]["step_error"] = max(abs(est.lambda_minus - half_lo),
+                                                abs(est.lambda_plus - half_hi))
+    assert {k: doc[k] for k in expected} == expected
+    assert 0.0 < doc["diagnostics"]["step_error"] < 1e-8
+
+
+def stiff_torus_cfg(tmp_path, dt):
+    # a(x) = diag(1, 300) + 0.5 cos x_1 [[0, 1], [1, 0]] on T^2
+    X, Z = [[0.0, 0.25], [0.25, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+    field = {"n": 2, "d": 2, "K": 1, "coeffs": [
+        {"k": [0, 0], "re": [[1.0, 0.0], [0.0, 300.0]], "im": Z},
+        {"k": [1, 0], "re": X, "im": Z}, {"k": [-1, 0], "re": X, "im": Z}]}
+    return {"manifold": {"kind": "flat_torus", "d": 2}, "damping": {"field": field},
+            "lyapunov": {"T": 1.0, "dt": dt, "samples": 2, "seed": 1},
+            "output": {"dir": str(tmp_path / "out")}}
+
+
+def test_torus_step_error_flags_a_stable_but_inaccurate_step(tmp_path):
+    # h * 300 = 1.5 is inside RK4's stability interval, yet lambda_minus reads
+    # about -259 where the truth is about -300
+    cfg = stiff_torus_cfg(tmp_path, 5e-3)
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 0
+    diag = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["diagnostics"]
+    assert diag["rank_ok"] and diag["step_error"] > 1.0
+    # at h * 300 = 0.03 what is left is RK4's leading error in the rate -300,
+    # 300 (0.03)^4 / 120 at dt and 1/16 of it at dt/2
+    cfg = stiff_torus_cfg(tmp_path, 1e-4)
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 0
+    diag = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["diagnostics"]
+    assert diag["step_error"] < 1e-5
+    assert diag["step_error"] == pytest.approx(300.0 * 0.03**4 / 120.0 * 15.0 / 16.0, rel=0.1)
 
 
 @pytest.mark.parametrize("override", [{"T": 0}, {"T": -5}, {"samples": 0}, {"renorm_every": 0},
@@ -240,6 +278,60 @@ def test_zero_and_nan_values_rejected(tmp_path, capsys, command, base, section, 
     assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{key} must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+EVOLUTION = {
+    "manifold": {"kind": "circle", "d": 1},
+    "damping": {"generator": {"n": 1, "K": 1, "amplitude": 0.5, "seed": 2}},
+    "evolution": {"N": 4, "T": 0.01, "dt": 1e-3, "stride": 2, "mode": 1},
+}
+COUNT_KEYS = [("spectrum", CONSTANT, "manifold", "d"),
+              ("spectrum", TORUS, "damping.generator", "n"),
+              ("spectrum", TORUS, "damping.generator", "K"),
+              ("spectrum", TORUS, "damping.generator", "seed"),
+              ("lyapunov", TORUS, "lyapunov", "samples"),
+              ("lyapunov", TORUS, "lyapunov", "seed"),
+              ("lyapunov", TORUS, "lyapunov", "renorm_every"),
+              ("spectrum", CONSTANT, "solver", "N"),
+              ("decay", EVOLUTION, "evolution", "N"),
+              ("decay", EVOLUTION, "evolution", "stride"),
+              ("decay", EVOLUTION, "evolution", "mode")]
+REAL_KEYS = [("spectrum", TORUS, "damping.generator", "amplitude"),
+             ("lyapunov", TORUS, "lyapunov", "T"),
+             ("lyapunov", TORUS, "lyapunov", "dt"),
+             ("spectrum", CONSTANT, "solver", "reliability"),
+             ("decay", EVOLUTION, "evolution", "T"),
+             ("decay", EVOLUTION, "evolution", "dt"),
+             ("quantize-check", QUANTIZE, "quantize", "h"),
+             ("quantize-check", QUANTIZE, "quantize", "L"),
+             ("quantize-check", QUANTIZE, "quantize", "xi_max"),
+             ("bands", CONSTANT, "analysis", "epsilon"),
+             ("bands", CONSTANT, "analysis", "window_width")]
+# null means "not given" for these
+OPTIONAL_KEYS = [("weyl", CONSTANT, "analysis", "lambda"),
+                 ("weyl", CONSTANT, "analysis", "ratio_tolerance"),
+                 ("decay", EVOLUTION, "evolution", "max_residual")]
+BAD_NUMBERS = ["1e400", "-1e400", "[3]", '"x"', "NaN", "true"]
+
+
+@pytest.mark.parametrize("command, base, section, key, raw",
+                         [c + (v,) for c in COUNT_KEYS for v in BAD_NUMBERS + ["null", "2.7", "12.5"]]
+                         + [c + (v,) for c in REAL_KEYS for v in BAD_NUMBERS + ["null"]]
+                         + [c + (v,) for c in OPTIONAL_KEYS for v in BAD_NUMBERS])
+def test_bad_numbers_in_config_are_diagnosed(tmp_path, capsys, command, base, section, key, raw):
+    # raw JSON text: 1e400 parses to inf, NaN to nan; counts must be integral
+    cfg = json.loads(json.dumps(dict(base, output={"dir": str(tmp_path / "out")})))
+    sec = cfg
+    for part in section.split("."):
+        sec = sec.setdefault(part, {})
+    sec[key] = "@bad@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@bad@"', raw))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config {section}.{key} must be")
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from dampedwave.cocycle import line_integral, plan_steps, propagate, propagate_m
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, sample_shell
 from dampedwave.lyapunov import (
+    DEFAULT_RENORM_EVERY,
     _StreamStats,
     _bound_orders,
     _log_sigma_extremes,
@@ -20,6 +21,7 @@ from dampedwave.lyapunov import (
     finite_time_bounds,
     floquet_exponents,
     lyapunov_spectrum,
+    safe_cadence,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -322,6 +324,46 @@ def test_stream_stats_do_not_depend_on_budget_batching_or_order(n, seed, m, T, d
     assert ref["half_time"][0] == half_time
     stopped = stream_rates(f, pts, half_time, h, renorm_every)
     assert np.max(np.abs(stopped["exponents"] - ref["half"])) < 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 1000), m=st.integers(1, 3),
+       T=st.floats(0.05, 5.0), dt=st.sampled_from([1e-2, 4e-3]))
+def test_stream_stats_do_not_depend_on_cadence(n, seed, m, T, dt):
+    # the R factors of successive QRs multiply, so the cadence is a numerical knob only
+    f = random_field(n, 1, amplitude=0.8, seed=seed)
+    pts = sample_shell(m, 0.5, seed=seed)
+    ref = stream_rates(f, pts, T, dt, 1)
+    h = plan_steps(T, dt)[1]
+    for renorm_every in (7, 10, 250, 10**6):
+        var = stream_rates(f, pts, T, dt, renorm_every)
+        for key in ("top", "bottom", "exponents"):
+            assert np.max(np.abs(var[key] - ref[key])) < 1e-10, (renorm_every, key)
+        # half-horizon exponents against a cadence-1 run stopped at the same snapshot
+        stopped = stream_rates(f, pts, var["half_time"][0], h, 1)
+        assert np.max(np.abs(var["half"] - stopped["exponents"])) < 1e-10, renorm_every
+
+
+def stiff_coupled_field():
+    # a(x) = diag(1, 300) + 0.5 cos x [[0, 1], [1, 0]]: sum_k ||A_k||_2 = 300.5
+    A1 = 0.25 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return DampingField(2, 1, {(0,): np.diag([1.0 + 0j, 300.0]), (1,): A1, (-1,): A1})
+
+
+def test_cadence_is_clamped_to_the_safe_group_length():
+    # 250 steps of h = 5e-3 on this field form a product with log-condition
+    # near 2 * 300 * 1.25; its small direction is lost before the QR sees it
+    f = stiff_coupled_field()
+    assert safe_cadence(f, 5e-3) == 5 == math.floor(9.0 / (5e-3 * 300.5))
+    small = [lyapunov_spectrum(f, POINT, 20.0, 5e-3, r).exponents[0] for r in (10, 10**6)]
+    assert abs(small[0] - small[1]) < 1e-9
+    for r, ran in ((None, 5), (3, 3), (10**6, 5)):
+        kw = {} if r is None else {"renorm_every": r}
+        est = band_estimates(f, T=1.0, m=2, dt=5e-3, seed=0, **kw)
+        assert est.diagnostics["renorm_every"] == ran
+    mild = band_estimates(random_field(2, 1, 0.6, seed=5), T=1.0, m=2, dt=1e-3, seed=0)
+    assert mild.diagnostics["renorm_every"] == DEFAULT_RENORM_EVERY == 250
+    assert safe_cadence(DampingField.zero(2, 1), 1e-3) == math.inf
 
 
 def test_rates_reject_nonpositive_horizon():
