@@ -49,26 +49,6 @@ class BandReport:
     def total_outliers(self) -> float:
         return sum(w.outliers for w in self.windows)
 
-    def to_dict(self) -> dict:
-        return {
-            "c_minus": self.c_minus,
-            "c_plus": self.c_plus,
-            "lambda_minus": self.lambda_minus,
-            "lambda_plus": self.lambda_plus,
-            "epsilon": self.epsilon,
-            "weyl": dict(self.weyl),
-            "windows": [
-                {
-                    "re_min": w.re_min,
-                    "re_max": w.re_max,
-                    "total": w.total,
-                    "outliers_above": w.outliers_above,
-                    "outliers_below": w.outliers_below,
-                }
-                for w in self.windows
-            ],
-        }
-
 
 def _weights(taus: np.ndarray) -> np.ndarray:
     """Count weight per eigenvalue: 1/2 on the imaginary axis, else 1."""

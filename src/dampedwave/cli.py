@@ -42,9 +42,12 @@ def _load_config(path: str) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {json.dumps(cfg)}")
+    return cfg
 
 
 def _config_hash(cfg: dict) -> str:
@@ -85,6 +88,15 @@ def _number(sec: dict, name: str, key: str, default, integer: bool = False,
     return int(v) if integer else float(v)
 
 
+def _flag(sec: dict, name: str, key: str) -> bool:
+    """Config switch ``sec[key]``, false when absent; anything but a JSON boolean
+    is a ConfigError that names ``name.key``."""
+    v = sec.get(key, False)
+    if not isinstance(v, bool):
+        raise ConfigError(f"config {name}.{key} must be true or false, got {json.dumps(v)}")
+    return v
+
+
 def _optional(sec: dict, name: str, key: str, **kw):
     """``_number`` of an optional key: None when it is absent or null."""
     return None if sec.get(key) is None else _number(sec, name, key, None, **kw)
@@ -119,6 +131,13 @@ def _field(cfg: dict, manifold: Manifold) -> damping.DampingField:
     raise ConfigError("config damping needs either 'field' or 'generator'")
 
 
+def _output_dir(cfg: dict) -> Path:
+    d = _section(cfg, "output").get("dir", "out")
+    if not isinstance(d, str):
+        raise ConfigError(f"config output.dir must be a string, got {json.dumps(d)}")
+    return Path(d)
+
+
 def _write(outdir: Path, name: str, text: str) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
@@ -138,8 +157,6 @@ def _band_params(cfg: dict):
                      positive=True),
         "dt": _number(sec, "lyapunov", "dt", lyapunov.DEFAULT_DT, positive=True),
         "seed": _number(sec, "lyapunov", "seed", 0, integer=True),
-        "renorm_every": _number(sec, "lyapunov", "renorm_every", lyapunov.DEFAULT_RENORM_EVERY,
-                                integer=True, positive=True),
     }
 
 
@@ -148,11 +165,10 @@ def _band_estimates(field: damping.DampingField, p: dict) -> lyapunov.BandEstima
     tori, where only the two samples attaining the edges are rerun; exact
     Floquet values on the circle's two shell orbits, with C = -(edges)."""
     if field.d != 1:
-        est = lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"], p["renorm_every"])
+        est = lyapunov.band_estimates(field, p["T"], p["m"], p["dt"], p["seed"])
         points = sample_shell(p["m"], lyapunov.SHELL_ENERGY, d=field.d, seed=p["seed"])
         lo, hi = est.diagnostics["lambda_minus_sample"], est.diagnostics["lambda_plus_sample"]
-        half_step = {i: lyapunov.lyapunov_spectrum(field, points[i], p["T"], 0.5 * p["dt"],
-                                                   p["renorm_every"]).exponents
+        half_step = {i: lyapunov.lyapunov_spectrum(field, points[i], p["T"], 0.5 * p["dt"]).exponents
                      for i in {lo, hi}}
         step_error = max(abs(est.lambda_minus - half_step[lo][0]),
                          abs(est.lambda_plus - half_step[hi][-1]))
@@ -174,7 +190,7 @@ def run_lyapunov(cfg: dict, outdir: Path) -> int:
     p = _band_params(cfg)
     est = _band_estimates(field, p)
     bounds = damping.extremal_bounds(field)
-    doc = est.to_report()
+    doc = dataclasses.asdict(est)
     doc.update({
         "config_hash": _config_hash(cfg),
         "params": {"T": p["T"], "samples": p["m"], "dt": p["dt"], "seed": p["seed"]},
@@ -213,17 +229,18 @@ def run_bands(cfg: dict, outdir: Path) -> int:
     asec = _section(cfg, "analysis")
     eps = _number(asec, "analysis", "epsilon", 0.1, positive=True)
     width = _number(asec, "analysis", "window_width", 1.0, positive=True)
+    dump_points = _flag(asec, "analysis", "dump_points")
     spec = _solve_spectrum(cfg, manifold, field)
     est = _band_estimates(field, p)
     report = analysis.band_outliers(spec, est.lambda_minus, est.lambda_plus, eps,
                                     width, c_minus=est.c_minus, c_plus=est.c_plus)
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     doc["config_hash"] = _config_hash(cfg)
     doc["band_diagnostics"] = dict(est.diagnostics)
     doc["params"] = {"N": spec.N, "T": est.T, "epsilon": eps,
                      "window_width": width, "samples": est.m}
     path = _write(outdir, "band_report.json", _json_report(doc))
-    if asec.get("dump_points", False):
+    if dump_points:
         rel = spec.reliable()
         rows = "\n".join(f"{t.real:.17g} {t.imag:.17g}" for t in rel)
         _write(outdir, "spectrum.dat", rows + "\n")
@@ -263,12 +280,13 @@ def run_decay(cfg: dict, outdir: Path) -> int:
     stride = _number(sec, "evolution", "stride", 2, integer=True)
     mode = _number(sec, "evolution", "mode", 1, integer=True)
     cap = _optional(sec, "evolution", "max_residual")
+    dump_states = _flag(sec, "evolution", "dump_states")
     gen = spectrum.assemble(field, manifold, N)
     state = evolution.single_mode_state(N, k=mode, n=field.n)
     traj = evolution.evolve(gen, state, T, dt, stride)
     residual = evolution.energy_balance_residual(field, traj)
     _write(outdir, "energy.csv", evolution.energy_csv(traj))
-    if sec.get("dump_states", False):
+    if dump_states:
         (outdir / "states.bin").write_bytes(evolution.state_dump(traj))
     bounds = damping.extremal_bounds(field)
     doc = {
@@ -371,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        outdir = Path(args.out) if args.out else Path(_section(cfg, "output").get("dir", "out"))
+        outdir = Path(args.out) if args.out else _output_dir(cfg)
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

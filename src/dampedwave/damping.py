@@ -20,6 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .geometry import mode_lattice
+
 HERMITIAN_TOL = 1e-12
 
 
@@ -149,7 +151,7 @@ class DampingField:
         vals = vals.reshape((m,) * d + (n, n))
         spec = np.fft.fftn(vals, axes=tuple(range(d))) / m**d
         coeffs = {}
-        for k in _freq_box(K, d):
+        for k in map(tuple, mode_lattice(K, d).tolist()):
             idx = tuple(np.mod(k, m))
             A = spec[idx]
             if np.max(np.abs(A)) > 1e-14:
@@ -165,14 +167,6 @@ class DampingField:
                 avg = 0.5 * (coeffs[k] + coeffs[mk].conj().T)
                 coeffs[k], coeffs[mk] = avg, avg.conj().T
         return cls(n, d, coeffs)
-
-
-def _freq_box(K: int, d: int):
-    ranges = [range(-K, K + 1)] * d
-    out = [()]
-    for r in ranges:
-        out = [k + (c,) for k in out for c in r]
-    return out
 
 
 def extremal_bounds(field: DampingField, grid_points: int | None = None) -> ExtremalBounds:
@@ -208,7 +202,7 @@ def random_field(n: int, K: int, amplitude: float = 1.0, seed: int = 0, d: int =
     zero = (0,) * d
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     coeffs[zero] = amplitude * 0.5 * (G + G.conj().T)
-    for k in _freq_box(K, d):
+    for k in map(tuple, mode_lattice(K, d).tolist()):
         if k <= zero:  # keep lexicographically positive representatives
             continue
         scale = amplitude * 0.5 ** max(abs(c) for c in k)

@@ -27,13 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import circulant, expm
 
 from .cocycle import _phase_integral, propagate_many
 from .damping import DampingField
-from .geometry import TWO_PI, Manifold, PhasePoint
+from .geometry import TWO_PI, PhasePoint, mode_lattice
 from .quantize import CircleGrid, Symbol, antiwick_build_circle
-from .spectrum import DiscretizedGenerator, mode_lattice, multiplication_blocks
+from .spectrum import DiscretizedGenerator, multiplication_blocks
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class WaveState:
     """Fourier coefficients of (u, partial_t u) at time t.
 
     u and v have shape (M, n) with M the mode count of the cutoff-N lattice,
-    ordered like ``spectrum.mode_lattice``.
+    ordered like ``geometry.mode_lattice``.
     """
 
     u: np.ndarray
@@ -84,14 +84,13 @@ class Trajectory:
         return WaveState(self.u[i], self.v[i], float(self.ts[i]), self.N, self.d)
 
 
-def single_mode_state(N: int, k: int = 1, n: int = 1, component: int = 0,
-                      amplitude: complex = 1.0, d: int = 1) -> WaveState:
-    """u0 = amplitude * e^{ikx} in one vector component, u1 = 0."""
+def single_mode_state(N: int, k: int = 1, n: int = 1, d: int = 1) -> WaveState:
+    """u0 = e^{ikx} in the first vector component, u1 = 0."""
     if abs(k) > N:
         raise ValueError(f"mode {k} lies outside the cutoff N = {N}")
-    modes = _lattice(N, d)
+    modes = mode_lattice(N, d)
     u = np.zeros((len(modes), n), dtype=complex)
-    u[int(np.flatnonzero((modes == [k] + [0] * (d - 1)).all(axis=1))[0]), component] = amplitude
+    u[int(np.flatnonzero((modes == [k] + [0] * (d - 1)).all(axis=1))[0]), 0] = 1.0
     return WaveState(u, np.zeros_like(u), 0.0, N, d)
 
 
@@ -136,13 +135,8 @@ def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
     return Trajectory(ts, *W.reshape((2, rows) + state.u.shape), state.N, state.d)
 
 
-def _lattice(N: int, d: int) -> np.ndarray:
-    """The cutoff-N modes of the circle (d = 1) or flat d-torus, as ``mode_lattice`` orders them."""
-    return mode_lattice(Manifold("circle" if d == 1 else "flat_torus", d), N)
-
-
 def _mode_k2(N: int, d: int) -> np.ndarray:
-    return np.sum(_lattice(N, d).astype(float) ** 2, axis=1)
+    return np.sum(mode_lattice(N, d).astype(float) ** 2, axis=1)
 
 
 def _energies(u: np.ndarray, v: np.ndarray, N: int, d: int) -> np.ndarray:
@@ -169,7 +163,7 @@ def energy_balance_residual(field: DampingField, trajectory: Trajectory) -> floa
     if len(trajectory) < 3:
         raise ValueError("need at least three recorded states")
     N, d = trajectory.N, trajectory.d
-    D = multiplication_blocks(field, _lattice(N, d))
+    D = multiplication_blocks(field, mode_lattice(N, d))
     vol = TWO_PI ** d
     ts = trajectory.ts
     V = trajectory.v.reshape(len(ts), -1)
@@ -259,47 +253,38 @@ def suggest_modes(h: float) -> int:
     return int(math.ceil(max(p1, p2) / 2.0)) * 2
 
 
-def factorization_residual(field: DampingField, t: float, h: float, N: int | None = None,
-                           test_symbol: Symbol | None = None,
+def factorization_residual(field: DampingField, t: float, h: float,
                            symbol_dt: float = 1e-3) -> float:
     """|| Op(u) [e^{it(P+2iha)/h} - Op(G-symbol) e^{itP/h}] ||_2 on the circle.
 
     P = -h^2 Lap; both propagators and the anti-Wick operators are built on
-    a periodic grid of 2N points.  The residual should decay like sqrt(h)
-    for smooth damping; the a = 0 baseline isolates the pure quadrature
-    floor (both factors collapse to the free propagator).  symbol_dt only
-    affects matrix fields, whose cocycle symbol is integrated numerically
-    per quadrature node.
+    a periodic grid of 2N points, N = ``suggest_modes(h)``, and u is the
+    unit-shell cutoff.  The residual should decay like sqrt(h) for smooth
+    damping; the a = 0 baseline isolates the pure quadrature floor (both
+    factors collapse to the free propagator).  symbol_dt only affects matrix
+    fields, whose cocycle symbol is integrated numerically per quadrature node.
     """
     if field.d != 1:
         raise ValueError("the factorization check runs on the circle only")
     if not 0.0 < h <= 1.0:
         raise ValueError("need h in (0, 1]")
-    if N is None:
-        N = suggest_modes(h)
-    if N * h < 1.5 + 10.0 * math.sqrt(h):
-        raise ValueError(f"N*h = {N * h:g} does not resolve the unit shell; "
-                         f"need at least {1.5 + 10.0 * math.sqrt(h):g}")
-    P = 2 * N
+    P = 2 * suggest_modes(h)
     grid = CircleGrid(P, h)
     n = field.n
     k = np.fft.fftfreq(P, d=1.0 / P)
-    F = np.fft.fft(np.eye(P), axis=0)
-    Finv = F.conj().T / P
 
     # component-major layout: each operator is n diagonal copies of its scalar
-    # form, and block (c, b) of the damping acts diagonally in x
-    E_free = np.kron(np.eye(n), Finv @ (np.exp(1j * t * h * k * k)[:, None] * F))
-    P_full = np.kron(np.eye(n), Finv @ ((h * h * k * k)[:, None] * F))
+    # Fourier multiplier (a circulant), and block (c, b) of the damping acts
+    # diagonally in x
+    E_free = np.kron(np.eye(n), circulant(np.fft.ifft(np.exp(1j * t * h * k * k))))
+    P_full = np.kron(np.eye(n), circulant(np.fft.ifft(h * h * k * k)))
     a_vals = np.stack([field.at(xx) for xx in grid.x])  # (P, n, n)
     for c in range(n):
         for b in range(n):
             P_full[c * P:(c + 1) * P, b * P:(b + 1) * P] += 2j * h * np.diag(a_vals[:, c, b])
     E_damped = expm((1j * t / h) * P_full)
 
-    u_sym = test_symbol if test_symbol is not None else shell_cutoff_symbol(n)
-    Op_u = antiwick_build_circle(u_sym, grid)
-    s_sym = cocycle_symbol(field, t, dt=symbol_dt)
-    Op_s = antiwick_build_circle(s_sym, grid)
+    Op_u = antiwick_build_circle(shell_cutoff_symbol(n), grid)
+    Op_s = antiwick_build_circle(cocycle_symbol(field, t, dt=symbol_dt), grid)
     R = Op_u @ (E_damped - Op_s @ E_free)
     return float(np.linalg.norm(R, ord=2))

@@ -38,6 +38,11 @@ class Manifold:
         return TWO_PI ** self.d
 
 
+def mode_lattice(N: int, d: int) -> np.ndarray:
+    """All frequency vectors k in Z^d with |k|_inf <= N, lexicographically sorted, as (M, d) ints."""
+    return np.indices((2 * N + 1,) * d).reshape(d, -1).T - N
+
+
 def _reduce_angles(x) -> np.ndarray:
     return np.mod(np.asarray(x, dtype=float), TWO_PI)
 

@@ -89,17 +89,6 @@ class BandEstimates:
     m: int
     diagnostics: dict = dataclass_field(default_factory=dict)
 
-    def to_report(self) -> dict:
-        return {
-            "T": self.T,
-            "m": self.m,
-            "c_minus": self.c_minus,
-            "c_plus": self.c_plus,
-            "lambda_minus": self.lambda_minus,
-            "lambda_plus": self.lambda_plus,
-            "diagnostics": dict(self.diagnostics),
-        }
-
 
 def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
     """i-th compound matrices of a stack A (..., n, n): entries are the i x i

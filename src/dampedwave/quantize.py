@@ -9,14 +9,15 @@ quadrature of rank-one coherent-state projectors,
 the momentum nodes tile exactly one Nyquist period of the grid, so for
 a = 1 the aliased Gaussian tiling reproduces the identity to quadrature
 accuracy, and Gaussians are truncated at 8 sqrt(h), which keeps the
-assembled operator banded.  The xi-sum of the x0 term at entry (p, q)
-depends only on the lag p - q, so one gemm of a (lag x xi) phase table with
-the symbol values gives every center's Toeplitz factor, and each lag
-diagonal is one more gemm over the centers.  The Weyl operator is built
-from K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with
-momentum nodes dense enough that the discrete kernel has no replica
-within the box; entry (p, q) reads the same phase-table gemm at offset
-(p - q) dx and midpoint index p + q.
+assembled operator banded.  The nodes make dx xi_k / h = pi (2k + 1 - K) / K,
+so every momentum sum sum_k a(c, xi_k) e^{i m dx xi_k / h} at an integer lag
+m is a length-K DFT of the symbol values of center c: one FFT per center
+gives every lag (``_lag_table``).  The xi-sum of the x0 term at entry (p, q)
+depends only on the lag p - q, so each lag diagonal of the anti-Wick
+operator is one gemm over the centers.  The Weyl operator is built from
+K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with momentum
+nodes dense enough that the discrete kernel has no replica within the box;
+entry (p, q) reads the same table at lag p - q and midpoint index p + q.
 
 Matrix-valued symbols quantize entrywise against the scalar projector
 weights.  A periodized circle variant backs the propagator-factorization
@@ -32,6 +33,7 @@ import warnings
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
+from scipy.linalg import circulant
 
 TAIL_CUT = 8.0  # Gaussian tails kept out to TAIL_CUT * sqrt(h)
 NODE_SPACING = 0.25  # phase-space quadrature spacing in units of sqrt(h)
@@ -88,17 +90,14 @@ class GridSpec:
 class Symbol:
     """A phase-space symbol (x, xi) -> scalar or n x n matrix.
 
-    ``fn`` must broadcast over numpy arrays.  The keyword-only ``xy_parts``
-    optionally lists separable terms (f(x), g(xi)) enabling the fast Weyl
-    path; ``mollified`` optionally maps h to the Gaussian-mollified symbol
-    (variance h/2 per phase-space coordinate), which is what anti-Wick
-    quantization sees.
+    ``fn`` must broadcast over numpy arrays.  The keyword-only ``mollified``
+    optionally maps h to the Gaussian-mollified symbol (variance h/2 per
+    phase-space coordinate), which is what anti-Wick quantization sees.
     """
 
     fn: callable
     n: int = 1
     _: KW_ONLY
-    xy_parts: list | None = None
     mollified: callable = None
     label: str = ""
 
@@ -109,7 +108,6 @@ class Symbol:
 def symbol_one(n: int = 1) -> Symbol:
     if n == 1:
         return Symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape), 1,
-                      xy_parts=[(lambda x: np.ones_like(x), lambda xi: np.ones_like(xi))],
                       mollified=lambda h: symbol_one(), label="1")
     eye = np.eye(n)
     return Symbol(lambda x, xi: np.multiply.outer(np.ones(np.broadcast(x, xi).shape), eye),
@@ -118,37 +116,20 @@ def symbol_one(n: int = 1) -> Symbol:
 
 def symbol_harmonic() -> Symbol:
     """x^2 + xi^2; its mollification is exactly x^2 + xi^2 + h."""
-
-    def moll(h):
-        s = Symbol(lambda x, xi: x * x + xi * xi + h, 1,
-                   xy_parts=[(lambda x: x * x + h, lambda xi: np.ones_like(xi)),
-                             (lambda x: np.ones_like(x), lambda xi: xi * xi)],
-                   label="x^2+xi^2+h")
-        return s
-
-    return Symbol(lambda x, xi: x * x + xi * xi, 1,
-                  xy_parts=[(lambda x: x * x, lambda xi: np.ones_like(xi)),
-                            (lambda x: np.ones_like(x), lambda xi: xi * xi)],
-                  mollified=moll, label="x^2+xi^2")
+    return Symbol(lambda x, xi: x * x + xi * xi, 1, label="x^2+xi^2",
+                  mollified=lambda h: Symbol(lambda x, xi: x * x + xi * xi + h, 1,
+                                             label="x^2+xi^2+h"))
 
 
 def symbol_cos_x() -> Symbol:
     """cos x; Gaussian x-mollification scales it by exp(-h/4)."""
-
-    def moll(h):
-        c = math.exp(-h / 4.0)
-        return Symbol(lambda x, xi: c * np.cos(x) + 0.0 * xi, 1,
-                      xy_parts=[(lambda x: c * np.cos(x), lambda xi: np.ones_like(xi))],
-                      label="exp(-h/4)cos x")
-
-    return Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1,
-                  xy_parts=[(lambda x: np.cos(x), lambda xi: np.ones_like(xi))],
-                  mollified=moll, label="cos x")
+    return Symbol(lambda x, xi: np.cos(x) + 0.0 * xi, 1, label="cos x",
+                  mollified=lambda h: Symbol(lambda x, xi: math.exp(-h / 4.0) * np.cos(x) + 0.0 * xi,
+                                             1, label="exp(-h/4)cos x"))
 
 
 def symbol_xi() -> Symbol:
     return Symbol(lambda x, xi: xi + np.zeros_like(x), 1,
-                  xy_parts=[(lambda x: np.ones_like(x), lambda xi: xi)],
                   mollified=lambda h: symbol_xi(), label="xi")
 
 
@@ -188,17 +169,21 @@ def _aw_nodes(grid: GridSpec):
     return xs, xis, wx * sxi / (2.0 * math.pi * h)
 
 
-def _lag_table(symbol: Symbol, centers, offsets, xis, weight: float, h: float) -> np.ndarray:
-    """weight * sum_k a(c, xi_k) e^{i o xi_k / h} for every offset o and center c.
+def _lag_table(symbol: Symbol, centers, lags, xis, weight: float) -> np.ndarray:
+    """weight * sum_k a(c, xi_k) e^{i m dx xi_k / h} for every integer lag m and center c.
 
-    One gemm of the (offset x xi) phase table with the symbol values; the
-    symbol is called once per center.  Returns (len(offsets), len(centers), n*n).
+    Precondition: ``xis`` are the K nodes ``_midpoints(nyquist, s)`` of the grid,
+    so dx xi_k / h = pi (2k + 1 - K) / K and the sum is
+    (-1)^m e^{i pi m / K} K ifft(a(c, xi))[m mod K]: one length-K FFT per
+    center, exact for every integer m, also beyond one period.  The symbol is
+    called once per center.  Returns (len(lags), len(centers), n*n).
     """
-    nxi, nn = len(xis), symbol.n ** 2
-    vals = np.stack([np.asarray(symbol(c, xis)).reshape(nxi, nn) for c in centers])
-    phases = np.exp(1j * np.outer(offsets, xis) / h)
-    T = phases @ np.moveaxis(weight * vals, 1, 0).reshape(nxi, -1)
-    return T.reshape(len(offsets), len(centers), nn)
+    K, nn = len(xis), symbol.n ** 2
+    vals = np.stack([np.asarray(symbol(c, xis)).reshape(K, nn) for c in centers], axis=1)
+    r = np.asarray(lags) % (2 * K)  # the phase factor has period 2K in m
+    T = np.fft.ifft(vals, axis=0)[r % K]
+    T *= ((weight * K) * np.where(r % 2, -1.0, 1.0) * np.exp(1j * math.pi * r / K))[:, None, None]
+    return T
 
 
 def _aw_core(symbol: Symbol, y, centers, lo, hi, xis, w, h, dx) -> np.ndarray:
@@ -213,7 +198,7 @@ def _aw_core(symbol: Symbol, y, centers, lo, hi, xis, w, h, dx) -> np.ndarray:
     g = (h * math.pi) ** (-0.25) * np.exp(-((y[:, None] - centers) ** 2) / (2.0 * h))
     G = np.where((j >= lo) & (j < hi), g, 0.0)
     span = int(np.max(hi - lo))
-    T = _lag_table(symbol, centers, np.arange(1 - span, span) * dx, xis, w * dx, h)
+    T = _lag_table(symbol, centers, np.arange(1 - span, span), xis, w * dx)
     # lags +m and -m side by side, as reals so each lag is one real gemm
     Tpm = np.concatenate([T[span - 1:], T[span - 1::-1]], axis=2).view(np.float64)
     op = np.zeros((n, N, n, N), dtype=complex)
@@ -242,25 +227,15 @@ def antiwick_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
 
 
 def weyl_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
-    """Dense Weyl operator matrix from midpoint kernel quadrature; separable
-    scalar symbols sum one Toeplitz xi-factor per term f(x) g(xi)."""
-    y, h, dx = grid.x, grid.h, grid.dx
+    """Dense Weyl operator matrix from midpoint kernel quadrature."""
+    h, dx = grid.h, grid.dx
     P, n = grid.points, symbol.n
     s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)  # no kernel replica within the box
     xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
-    pref = dx * sxi / (2.0 * math.pi * h)
-    offsets = np.arange(1 - P, P) * dx
-    p = np.arange(P)
-    lag = p[:, None] - p[None, :] + (P - 1)  # index of the offset (p - q) dx
-    if symbol.xy_parts is not None and n == 1:
-        mids = 0.5 * (y[:, None] + y[None, :])
-        tphase = np.exp(1j * np.outer(offsets, xis) / h)
-        op = np.zeros((P, P), dtype=complex)
-        for fx, gxi in symbol.xy_parts:
-            op += fx(mids) * (tphase @ gxi(xis) * pref)[lag]
-        return op
     mids = -grid.L + (np.arange(2 * P - 1) + 1) * (0.5 * dx)  # (y_p + y_q)/2 at p + q
-    K = _lag_table(symbol, mids, offsets, xis, pref, h)[lag, p[:, None] + p[None, :]]
+    p = np.arange(P)
+    T = _lag_table(symbol, mids, np.arange(1 - P, P), xis, dx * sxi / (2.0 * math.pi * h))
+    K = T[p[:, None] - p[None, :] + (P - 1), p[:, None] + p[None, :]]
     return K.reshape(P, P, n, n).transpose(2, 0, 3, 1).reshape(n * P, n * P)
 
 
@@ -274,7 +249,6 @@ def certified_compressor(grid: GridSpec) -> np.ndarray:
     """
     h = grid.h
     y = grid.x
-    P = grid.points
     r = 2.0 * math.sqrt(h)
 
     def window(u, lo, hi):
@@ -289,12 +263,10 @@ def certified_compressor(grid: GridSpec) -> np.ndarray:
 
     margin = (TAIL_CUT + 2.0) * math.sqrt(h)
     wx = window(y, -grid.L + margin, grid.L - margin)
-    eta = 2.0 * math.pi * h * np.fft.fftfreq(P, d=grid.dx)
+    eta = 2.0 * math.pi * h * np.fft.fftfreq(grid.points, d=grid.dx)
     xi_cut = min(grid.xi_max, grid.nyquist - margin)
     weta = window(eta, -xi_cut, xi_cut)
-    F = np.fft.fft(np.eye(P), axis=0)
-    C = (F.conj().T @ (weta[:, None] * F)) / P
-    return wx[:, None] * C * wx[None, :]
+    return wx[:, None] * circulant(np.fft.ifft(weta)) * wx[None, :]
 
 
 def mollified_weyl_residual(symbol: Symbol, grid: GridSpec) -> float:
@@ -317,26 +289,21 @@ def mollified_weyl_residual(symbol: Symbol, grid: GridSpec) -> float:
     return float(np.linalg.norm(diff, ord=2) / denom)
 
 
-def identity_error(grid: GridSpec, probes: list | None = None) -> float:
+def identity_error(grid: GridSpec) -> float:
     """Worst relative error of Op_AW(1) f = f over interior test states.
 
-    Default probes are coherent states placed 5 sqrt(h) or more inside the
-    box with momenta across the covered band.
+    The probes are coherent states placed 5 sqrt(h) or more inside the box
+    with momenta across the covered band, and one smooth oscillating bump.
     """
     A = antiwick_build(symbol_one(), grid)
-    if probes is None:
-        span = grid.L - 6.0 * math.sqrt(grid.h)
-        ximax = grid.xi_max - 0.2
-        probes = [coherent_state(x0, xi0, grid)
-                  for x0 in np.linspace(-span, span, 5)
-                  for xi0 in np.linspace(-ximax, ximax, 5)]
-        y = grid.x
-        bump = np.exp(-0.5 * (y / max(span, 1e-9)) ** 2) * np.cos(3.0 * y)
-        probes.append(bump.astype(complex))
-    worst = 0.0
-    for f in probes:
-        worst = max(worst, float(np.linalg.norm(A @ f - f) / np.linalg.norm(f)))
-    return worst
+    span = grid.L - 6.0 * math.sqrt(grid.h)
+    ximax = grid.xi_max - 0.2
+    probes = [coherent_state(x0, xi0, grid)
+              for x0 in np.linspace(-span, span, 5)
+              for xi0 in np.linspace(-ximax, ximax, 5)]
+    y = grid.x
+    probes.append(np.exp(-0.5 * (y / max(span, 1e-9)) ** 2) * np.cos(3.0 * y))
+    return max(float(np.linalg.norm(A @ f - f) / np.linalg.norm(f)) for f in probes)
 
 
 def aw_weyl_gap(symbol: Symbol, grid: GridSpec) -> float:

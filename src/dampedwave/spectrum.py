@@ -29,7 +29,6 @@ Hermitian fields fail it and are solved as they are.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field as dataclass_field
 
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .damping import DampingField
-from .geometry import Manifold
+from .geometry import Manifold, mode_lattice
 
 SIDE_CAP = 6000
 DEFAULT_RELIABILITY = 0.5
@@ -95,12 +94,6 @@ class SpectrumSet:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def mode_lattice(manifold: Manifold, N: int) -> np.ndarray:
-    """All frequency vectors with |k|_inf <= N, lexicographically sorted."""
-    rng = range(-N, N + 1)
-    return np.array(sorted(itertools.product(*([rng] * manifold.d))), dtype=int)
-
-
 def _damping_blocks(field: DampingField, modes: np.ndarray):
     """(rows, cols, blocks): the nonzero blocks A_{k_row - k_col} of multiplication
     by a on a ``mode_lattice``, where mode k sits at index sum_j (k_j + N) (2N + 1)^(d-1-j)."""
@@ -152,7 +145,7 @@ def assemble(field: DampingField, manifold: Manifold, N: int) -> DiscretizedGene
     K = field.K
     if N < K:
         raise ValueError(f"cutoff N={N} cannot hold the damping band K={K}")
-    modes = mode_lattice(manifold, N)
+    modes = mode_lattice(N, manifold.d)
     M = len(modes)
     n = field.n
     side = 2 * n * M
@@ -255,7 +248,7 @@ def _fine_distances(field: DampingField, manifold: Manifold, N: int,
     """Distance from each reliable tau at cutoff N to the nearest one at 2N;
     residuals are held to eps ||A||_1, the backward error of the banded LU."""
     coarse = solve(field, manifold, N, reliability_fraction)
-    ab, bw = _band(field, mode_lattice(manifold, 2 * N))
+    ab, bw = _band(field, mode_lattice(2 * N, manifold.d))
     tol = np.finfo(float).eps * float(np.max(np.sum(np.abs(ab), axis=0)))
     x = np.random.default_rng(0).standard_normal((ab.shape[1], 2)) @ np.array([1.0, 1j])
     return np.array([abs(_nearest_tau(ab, bw, t, x, tol) - t) for t in coarse.reliable()])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -149,7 +150,7 @@ def test_lyapunov_torus_reads_qr(tmp_path):
     lo, hi = est.diagnostics["lambda_minus_sample"], est.diagnostics["lambda_plus_sample"]
     half_lo = lyapunov_spectrum(f, points[lo], 5.0, 0.001).exponents[0]
     half_hi = lyapunov_spectrum(f, points[hi], 5.0, 0.001).exponents[-1]
-    expected = est.to_report()
+    expected = dataclasses.asdict(est)
     expected["diagnostics"]["step_error"] = max(abs(est.lambda_minus - half_lo),
                                                 abs(est.lambda_plus - half_hi))
     assert {k: doc[k] for k in expected} == expected
@@ -183,7 +184,7 @@ def test_torus_step_error_flags_a_stable_but_inaccurate_step(tmp_path):
     assert diag["step_error"] == pytest.approx(300.0 * 0.03**4 / 120.0 * 15.0 / 16.0, rel=0.1)
 
 
-@pytest.mark.parametrize("override", [{"T": 0}, {"T": -5}, {"samples": 0}, {"renorm_every": 0},
+@pytest.mark.parametrize("override", [{"T": 0}, {"T": -5}, {"samples": 0}, {"seed": 0.5},
                                       {"dt": 0}, {"dt": -1e-3}, {"dt": float("nan")}])
 @pytest.mark.parametrize("base", [CONSTANT, TORUS], ids=["circle", "torus"])
 @pytest.mark.parametrize("command", ["lyapunov", "bands"])
@@ -192,6 +193,30 @@ def test_band_params_rejected_on_every_manifold(tmp_path, capsys, command, base,
     cfg["lyapunov"] = dict(base["lyapunov"], **override)
     assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
     assert "error: config lyapunov." in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lyapunov_ignores_renorm_every(tmp_path):
+    # the QR cadence is a numerical knob, clamped to the field's safe group
+    # length; the config does not set it
+    docs = []
+    for name, extra in (("plain", {}), ("cadence", {"renorm_every": 7})):
+        cfg = dict(TORUS, output={"dir": str(tmp_path / name)})
+        cfg["lyapunov"] = dict(TORUS["lyapunov"], **extra)
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg, f"{name}.json")]) == 0
+        docs.append(json.loads((tmp_path / name / "lyapunov.json").read_text()))
+        del docs[-1]["config_hash"]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("raw", ["[1, 2]", "3", "null", '"spectrum"'])
+def test_config_must_be_an_object(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(raw)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config {path} must be a JSON object")
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -292,7 +317,7 @@ COUNT_KEYS = [("spectrum", CONSTANT, "manifold", "d"),
               ("spectrum", TORUS, "damping.generator", "seed"),
               ("lyapunov", TORUS, "lyapunov", "samples"),
               ("lyapunov", TORUS, "lyapunov", "seed"),
-              ("lyapunov", TORUS, "lyapunov", "renorm_every"),
+              ("bands", CONSTANT, "lyapunov", "samples"),
               ("spectrum", CONSTANT, "solver", "N"),
               ("decay", EVOLUTION, "evolution", "N"),
               ("decay", EVOLUTION, "evolution", "stride"),
@@ -313,12 +338,19 @@ OPTIONAL_KEYS = [("weyl", CONSTANT, "analysis", "lambda"),
                  ("weyl", CONSTANT, "analysis", "ratio_tolerance"),
                  ("decay", EVOLUTION, "evolution", "max_residual")]
 BAD_NUMBERS = ["1e400", "-1e400", "[3]", '"x"', "NaN", "true"]
+# switches must be JSON booleans and the output directory a string
+FLAG_KEYS = [("bands", CONSTANT, "analysis", "dump_points"),
+             ("decay", EVOLUTION, "evolution", "dump_states")]
+BAD_FLAGS = ['"false"', '"no"', "0", "1", "null", "[true]"]
+BAD_DIRS = ["5", '["out"]', "null", "true"]
 
 
 @pytest.mark.parametrize("command, base, section, key, raw",
                          [c + (v,) for c in COUNT_KEYS for v in BAD_NUMBERS + ["null", "2.7", "12.5"]]
                          + [c + (v,) for c in REAL_KEYS for v in BAD_NUMBERS + ["null"]]
-                         + [c + (v,) for c in OPTIONAL_KEYS for v in BAD_NUMBERS])
+                         + [c + (v,) for c in OPTIONAL_KEYS for v in BAD_NUMBERS]
+                         + [c + (v,) for c in FLAG_KEYS for v in BAD_FLAGS]
+                         + [("spectrum", CONSTANT, "output", "dir", v) for v in BAD_DIRS])
 def test_bad_numbers_in_config_are_diagnosed(tmp_path, capsys, command, base, section, key, raw):
     # raw JSON text: 1e400 parses to inf, NaN to nan; counts must be integral
     cfg = json.loads(json.dumps(dict(base, output={"dir": str(tmp_path / "out")})))

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dampedwave.geometry import Manifold, PhasePoint, flow, phase_volume, sample_shell
+from dampedwave.geometry import Manifold, PhasePoint, flow, mode_lattice, phase_volume, sample_shell
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,3 +91,11 @@ def test_manifold_validation():
         Manifold("sphere", 2)
     with pytest.raises(ValueError):
         phase_volume(Manifold("circle", 1), "shell_2")
+
+
+@pytest.mark.parametrize("N,d", [(0, 1), (3, 1), (2, 2), (1, 3)])
+def test_mode_lattice_is_the_sorted_box(N, d):
+    box = sorted(itertools.product(range(-N, N + 1), repeat=d))
+    modes = mode_lattice(N, d)
+    assert modes.shape == ((2 * N + 1) ** d, d) and modes.dtype.kind == "i"
+    assert [tuple(k) for k in modes.tolist()] == box

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -415,5 +416,5 @@ def test_ordering_chain_finite_horizon():
 
 def test_band_report_fragment_keys():
     est = band_estimates(one_plus_cos(), T=10.0, m=4, dt=2e-3, seed=0)
-    doc = est.to_report()
+    doc = dataclasses.asdict(est)
     assert set(doc) >= {"T", "m", "c_minus", "c_plus", "lambda_minus", "lambda_plus", "diagnostics"}

@@ -11,6 +11,8 @@ from dampedwave.quantize import (
     GridSpec,
     Symbol,
     _aw_nodes,
+    _lag_table,
+    _midpoints,
     antiwick_build,
     antiwick_build_circle,
     aw_weyl_gap,
@@ -96,10 +98,25 @@ def test_weyl_momentum_observable(grid):
 
 
 def test_weyl_generic_path_matches_separable(grid):
-    sym = symbol_cos_x()
-    fast = weyl_build(sym, grid)
-    generic = weyl_build(Symbol(sym.fn, 1), grid)
-    assert np.max(np.abs(fast - generic)) < 1e-10
+    # oracle: for a(x, xi) = sum f(x) g(xi), entry (p, q) is
+    # sum f((y_p + y_q)/2) * pref sum_k g(xi_k) e^{i (p - q) dx xi_k / h}
+    h, P = grid.h, grid.points
+    s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)
+    xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
+    pref = grid.dx * sxi / (2.0 * math.pi * h)
+    tphase = np.exp(1j * np.outer(np.arange(1 - P, P) * grid.dx, xis) / h)
+    p = np.arange(P)
+    lag = p[:, None] - p[None, :] + (P - 1)
+    mids = 0.5 * (grid.x[:, None] + grid.x[None, :])
+    one = np.ones_like
+    cases = [(symbol_one(), [(one, one)]),
+             (symbol_harmonic(), [(lambda x: x * x, one), (one, lambda xi: xi * xi)]),
+             (symbol_cos_x(), [(np.cos, one)]),
+             (symbol_xi(), [(one, lambda xi: xi)])]
+    for sym, parts in cases:
+        ref = sum(fx(mids) * (tphase @ (pref * gxi(xis)))[lag] for fx, gxi in parts)
+        W = weyl_build(sym, grid)
+        assert np.max(np.abs(W - ref)) < 1e-12 * np.max(np.abs(ref)), sym.label
 
 
 def test_weyl_matrix_symbol_blocks(grid):
@@ -214,6 +231,19 @@ def _mat_sym(x, xi):
 
 
 GENERIC = [Symbol(_scalar_sym, 1), Symbol(_mat_sym, 2)]
+
+
+@pytest.mark.parametrize("sym", GENERIC, ids=["n1", "n2"])
+def test_lag_table_is_the_direct_momentum_sum(grid, sym):
+    # one FFT per center against sum_k w a(c, xi_k) e^{i m dx xi_k / h}, over
+    # lags up to two periods of the K nodes either way
+    xs, xis, w = _aw_nodes(grid)
+    K = len(xis)
+    lags = np.arange(-2 * K, 2 * K + 1)
+    centers = xs[::17]
+    vals = np.stack([np.asarray(sym(c, xis)).reshape(K, -1) for c in centers])
+    direct = np.einsum("mk,ckj->mcj", np.exp(1j * np.outer(lags * grid.dx, xis) / grid.h), w * vals)
+    assert _rel_err(_lag_table(sym, centers, lags, xis, w), direct) < 1e-12
 
 
 def _projector_loop(symbol, centers, windows, offsets, xis, w, h, dx, P):

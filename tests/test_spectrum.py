@@ -173,7 +173,7 @@ def loop_generator(field, modes):
 
 @pytest.mark.parametrize("field,manifold,N", BUILDER_CASES)
 def test_block_builder_matches_loop_oracle(field, manifold, N):
-    modes = spectrum.mode_lattice(manifold, N)
+    modes = spectrum.mode_lattice(N, manifold.d)
     G, D = loop_generator(field, modes)
     assert np.array_equal(spectrum.multiplication_blocks(field, modes), D)
     assert np.array_equal(assemble(field, manifold, N).matrix, G)
@@ -181,7 +181,7 @@ def test_block_builder_matches_loop_oracle(field, manifold, N):
 
 @pytest.mark.parametrize("field,manifold,N", BUILDER_CASES)
 def test_band_storage_is_the_interleaved_generator(field, manifold, N):
-    modes = spectrum.mode_lattice(manifold, N)
+    modes = spectrum.mode_lattice(N, manifold.d)
     ab, bw = spectrum._band(field, modes)
     n, M = field.n, len(modes)
     side = 2 * n * M
