@@ -335,6 +335,9 @@ def run_quantize_check(cfg: dict, outdir: Path) -> int:
     h = _number(sec, "quantize", "h", 0.05, positive=True)
     L = _number(sec, "quantize", "L", 8.0, positive=True)
     xi_max = _number(sec, "quantize", "xi_max", 3.0, positive=True)
+    if (quantize.TAIL_CUT + 2.0) * math.sqrt(h) >= L:
+        raise ConfigError(f"config quantize: h={h} leaves no certified region inside L={L}; "
+                          f"need {quantize.TAIL_CUT + 2.0:g} sqrt(h) < L")
     grid = quantize.GridSpec.build(L, h, xi_max)
     id_err = quantize.identity_error(grid)
     checks = {"identity_error": id_err, "identity_pass": bool(id_err < 1e-6)}

@@ -5,15 +5,25 @@ The cocycle G_t(x0, xi0) solves the linear matrix ODE
     G_0 = Id,    dG_t/dt = -a(x_t) G_t,
 
 with x_t = x_0 + 2 xi_0 t the exactly known trajectory, so only the n x n
-linear system is integrated (classical fixed-step RK4).  Because the ODE is
-linear with a precomputable coefficient, each RK4 step is a constant matrix;
-steps are assembled in vectorized batches and composed by pairwise products
-with running magnitude renormalization, which keeps horizons of hundreds of
-e-foldings inside double precision.  Batches pass between layers as arrays
-(units (B, n, n), logs (B,)) with G = e^{logs} units of RMS entry size 1;
-``_compose`` forms every scaled product, and ``propagate`` returns one row as a
-``ScaledMatrix``.  For n = 1 the exact exponential of the symbolic line
-integral is available as an independent oracle.
+linear system is integrated (classical fixed-step RK4).  The damping is a
+trigonometric polynomial a(x) = sum_{|k|_inf <= K} A_k e^{ik.x}, so along the
+straight trajectory a(x_t) = sum_k A_k e^{ik.x0} e^{2i(k.xi0)t} is a
+trigonometric polynomial in t, and so is the RK4 transfer matrix S(t) of the
+step [t, t + h]: its stages are products of three samples of a, and a
+product of two modes k, l is the mode k + l.  ``_step_polynomial`` runs the
+RK4 stage form once per start on the Fourier coefficients over the integer
+frequency box |f|_inf <= 4K, which is exact whatever xi0 is (frequencies
+merge by their integer index, never by their value 2 f.xi0).  Every step
+matrix of a chunk is then one column of one gemm of those coefficients
+against a table of phases e^{2i f.xi0 t}.  Window products of the steps are
+composed by pairwise products with running magnitude renormalization, which
+keeps horizons of hundreds of e-foldings inside double precision.  Batches
+pass between layers as arrays (units (B, n, n), logs (B,)) with
+G = e^{logs} units of RMS entry size 1; ``_compose`` forms every scaled
+product, and ``propagate`` returns one row as a ``ScaledMatrix``.  Starts
+enter as one float array (B, 2, d) whose row b is (x, xi)
+(``geometry.phase_array``).  For n = 1 the exact exponential of the
+symbolic line integral is available as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingField
-from .geometry import PhasePoint, flow
+from .geometry import PhasePoint, flow, phase_array
 
 #: steps between window boundaries used when no cadence is imposed by callers
 _DEFAULT_GROUP = 32
-#: target batch*steps footprint per evaluation chunk
-_CHUNK_BUDGET = 80_000
+#: target batch * frequencies * steps footprint of one chunk's phase table
+#: (80 000 steps of one start on the circle with K = 1)
+_CHUNK_BUDGET = 720_000
 #: RK4 is stable for h*lambda in [-2.78, 0] on the negative real axis
 _RK4_REAL_LIMIT = 2.78
 
@@ -53,65 +64,137 @@ def _check_horizon(T: float, dt: float):
         raise ValueError(f"step dt={dt} must be positive and finite")
 
 
-def _trajectory_modes(field: DampingField, starts: list[PhasePoint]):
+def _check_starts(starts, d: int) -> np.ndarray:
+    """``starts`` as a float array (B, 2, d), row b being (x, xi)."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 3 or starts.shape[1:] != (2, d):
+        raise ValueError(f"starts must be an array of shape (B, 2, {d}), got {starts.shape}")
+    return starts
+
+
+def _trajectory_modes(field: DampingField, starts: np.ndarray):
     """Per-start Fourier data of t -> a(x_t): amplitudes and frequencies.
 
     Along x_t = x0 + 2 xi0 t each mode A_k e^{ik.x} restricts to
     A_k e^{ik.x0} e^{2i(k.xi0)t}.
     """
     ks, As = field.modes()
-    x0 = np.array([p.x for p in starts], dtype=float)
-    xi0 = np.array([p.xi for p in starts], dtype=float)
-    amp = np.exp(1j * x0 @ ks.T)          # (B, J)
-    om = 2.0 * xi0 @ ks.T                 # (B, J)
+    amp = np.exp(1j * (starts[:, 0] @ ks.T))  # (B, J)
+    om = 2.0 * starts[:, 1] @ ks.T            # (B, J)
     return amp, om, As
-
-
-def _field_along(amp, om, As, ts):
-    """a(x_t) for every start and every time in ts: shape (B, Q, n, n).
-
-    The result is component-major in memory: the time axis has the
-    smallest stride and each n x n matrix is scattered across the buffer
-    (see ``_mm`` for why the products keep this layout).
-    """
-    phases = amp[:, :, None] * np.exp(1j * om[:, :, None] * ts[None, None, :])
-    return np.einsum("bjq,jmn->bqmn", phases, As, optimize=True)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched small-matrix product a @ b over the leading (broadcast) axes.
 
-    ``einsum`` loops along the long batch/time axes and keeps the operands'
-    memory layout, whereas ``@`` on the component-major stacks of
-    ``_field_along`` dispatches one gemm per n x n matrix.
+    For n x n factors with n of a few, ``einsum`` loops along the long batch
+    axes where ``@`` dispatches one small product per matrix.
     """
     return np.einsum("...ij,...jk->...ik", a, b)
 
 
-def _rk4_step_matrices(A_half: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 transfer matrices from coefficient samples on half-steps.
+def _step_polynomial(field: DampingField, starts: np.ndarray, h: float) -> np.ndarray:
+    """Fourier coefficients C_f of the RK4 step matrix S(t) of [t, t + h].
 
-    A_half holds a(x_t) on the half-step grid (2S+1 samples for S steps).
-    For the linear ODE G' = -a(t)G the classical RK4 update is
-    G_{m+1} = S_m G_m, computed in its nested stage form
+    S(t) = sum_f C_f e^{2i (f.xi0) t} over the integer box |f|_inf <= 4K;
+    returns C of shape (B, n*n, F) with F = (8K + 1)^d and f in C order.
+    The stage factors B_c = a(x_{t + c h/2}), c = 0, 1, 2, have the
+    coefficients A_k e^{ik.x0} e^{2i(k.xi0) c h/2}, and the classical RK4
+    update of G' = -a(t)G runs in its nested stage form
 
       K2 = B2 (h/2 B1 - I),  K3 = B2 (-h/2 K2 - I),  K4 = B3 (-h K3 - I),
-      S  = I + (h/6) (2 (K2 + K3) + K4 - B1),
+      S  = I + (h/6) (2 (K2 + K3) + K4 - B1)
 
-    where B1, B2, B3 are a at the step's left/mid/right times (K_i is the
-    i-th stage slope divided by G).  This is the expanded polynomial
+    on coefficient boxes (K_i is the i-th stage slope divided by G).  A
+    left factor B_c multiplies mode k into mode k + l, so each product widens
+    the box by K; this is the expanded polynomial
     I - (h/6)(B1 + 4 B2 + B3) + ... + (h^4/24) B3 B2^2 B1 with three
-    products instead of six.  The products go through ``_mm`` because the
-    samples are component-major (time innermost in memory).
+    products instead of six.
     """
-    B1 = A_half[:, 0:-1:2]
-    B2 = A_half[:, 1::2]
-    B3 = A_half[:, 2::2]
-    eye = np.eye(A_half.shape[-1], dtype=complex)
-    K2 = _mm(B2, (0.5 * h) * B1 - eye)
-    K3 = _mm(B2, (-0.5 * h) * K2 - eye)
-    K4 = _mm(B3, (-h) * K3 - eye)
-    return eye + (h / 6.0) * (2.0 * (K2 + K3) + K4 - B1)
+    ks, _ = field.modes()
+    ks = ks.astype(int)
+    K, d = field.K, field.d
+    amp, om, As = _trajectory_modes(field, starts)
+    B, n, J = len(starts), field.n, len(ks)
+    eye = np.eye(n, dtype=complex)
+    # a polynomial of box radius r is an array (B, n, *(2r + 1,) * d, n): row, frequency, column
+
+    def center(r):
+        return (slice(None), slice(None)) + (r,) * d
+
+    def times(factor, Y, r):
+        # mode k of the factor times mode l of Y lands on mode k + l
+        prods = np.matmul(factor.reshape(B, J * n, n), Y.reshape(B, n, -1))
+        prods = prods.reshape(B, J, n, *Y.shape[2:])
+        out = np.zeros((B, n) + (2 * (r + K) + 1,) * d + (n,), dtype=complex)
+        for j, k in enumerate(ks):
+            box = tuple(slice(K + ki, K + ki + 2 * r + 1) for ki in k)
+            out[(slice(None), slice(None)) + box] += prods[:, j]
+        return out
+
+    def minus_eye(Y, r):
+        Y[center(r)] -= eye
+        return Y
+
+    def inner(r):
+        # the box of radius r inside the box of radius 4K
+        return (slice(None), slice(None)) + (slice(4 * K - r, 4 * K + r + 1),) * d
+
+    B1, B2, B3 = ((amp * np.exp((0.5j * c * h) * om))[:, :, None, None] * As for c in range(3))
+    B1box = np.zeros((B, n) + (2 * K + 1,) * d + (n,), dtype=complex)
+    B1box[(slice(None), slice(None)) + tuple(ks.T + K)] = B1.transpose(0, 2, 1, 3)
+    K2 = times(B2, minus_eye((0.5 * h) * B1box, K), K)
+    K3 = times(B2, minus_eye((-0.5 * h) * K2, 2 * K), 2 * K)
+    K4 = times(B3, minus_eye((-h) * K3, 3 * K), 3 * K)
+    S = K4
+    S[inner(3 * K)] += 2.0 * K3
+    S[inner(2 * K)] += 2.0 * K2
+    S[inner(K)] -= B1box
+    S *= h / 6.0
+    S[center(4 * K)] += eye
+    return S.reshape(B, n, -1, n).transpose(0, 1, 3, 2).reshape(B, n * n, -1)
+
+
+def _phase_table(xi: np.ndarray, R: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """e^{2i (f.xi) t} over the box |f|_inf <= R (f in C order) and the times
+    t = coarse + fine, fine-major: shape (B, F, fine.size * coarse.size).
+
+    One exponential per dimension, factored as e^{2i xi coarse} e^{2i xi fine};
+    the other frequencies are its powers, and negative powers are conjugates.
+    """
+    B, steps = len(xi), fine.size * coarse.size
+    table = None
+    for i in range(xi.shape[1]):
+        w = 2j * xi[:, i, None]
+        z = (np.exp(w * fine)[:, :, None] * np.exp(w * coarse)[:, None, :]).reshape(B, steps)
+        powers = np.empty((B, 2 * R + 1, steps), dtype=complex)
+        powers[:, R] = 1.0
+        for p in range(1, R + 1):
+            np.multiply(powers[:, R + p - 1], z, out=powers[:, R + p])
+        np.conjugate(powers[:, :R:-1], out=powers[:, :R])
+        table = powers if table is None else (table[:, :, None] * powers[:, None]).reshape(B, -1, steps)
+    return table
+
+
+def _fold_steps(S: np.ndarray) -> np.ndarray:
+    """Product S[:, :, w-1] ... S[:, :, 0] of step matrices stored as
+    component planes S (n, n, w, ...): returns (n, n, ...).
+
+    Each entry of the product is a sum of n plane products, formed in place
+    over the long trailing axes.
+    """
+    n, w = S.shape[0], S.shape[2]
+    W = S[:, :, 0]
+    if w == 1:
+        return W
+    W, new, tmp = W.copy(), np.empty_like(W), np.empty_like(W)
+    for j in range(1, w):
+        Sj = S[:, :, j]
+        np.multiply(Sj[:, 0, None], W[0], out=new)
+        for m in range(1, n):
+            new += np.multiply(Sj[:, m, None], W[m], out=tmp)
+        W, new = new, W
+    return W
 
 
 def plan_steps(T: float, dt: float) -> tuple[int, float]:
@@ -135,14 +218,20 @@ def step_reach(field: DampingField, h: float) -> float:
     return h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
 
 
-def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt: float,
+def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float,
                     window: int = _DEFAULT_GROUP):
     """Yield cocycle transfer matrices over successive windows of RK4 steps.
 
+    ``starts`` is a float array (B, 2, d) whose row b is the start (x, xi).
     Yields arrays of shape (B, n_windows_in_chunk, n, n) in time order where
     index i advances G across `window` consecutive steps (the final window
     of the run may be shorter; a window longer than the run is the run).
     The product of all yielded matrices, rightmost factor first, is G_T.
+
+    The step matrices of a chunk come from one batched gemm of the
+    ``_step_polynomial`` coefficients against the ``_phase_table`` of the
+    chunk's step times, ordered (step within window, window) so that the
+    window fold multiplies contiguous (batch, window) planes.
 
     Raises ValueError when ``step_reach`` reaches RK4's stability limit on
     the negative real axis, where the scheme can grow a mode that the ODE
@@ -150,6 +239,7 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    starts = _check_starts(starts, field.d)
     B = len(starts)
     M, h = plan_steps(T, dt)
     if M == 0:
@@ -158,27 +248,23 @@ def window_products(field: DampingField, starts: list[PhasePoint], T: float, dt:
     if reach >= _RK4_REAL_LIMIT:
         raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
                          f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")
-    amp, om, As = _trajectory_modes(field, starts)
     n = field.n
     window = min(window, M)
+    C = _step_polynomial(field, starts, h)
+    F = C.shape[-1]
 
-    steps_per_chunk = max(window, (_CHUNK_BUDGET // max(B, 1)) // window * window)
+    steps_per_chunk = max(window, (_CHUNK_BUDGET // max(B * F, 1)) // window * window)
     s0 = 0
     while s0 < M:
         s1 = min(s0 + steps_per_chunk, M)
-        ts = 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)
-        A_half = _field_along(amp, om, As, ts)
-        S = _rk4_step_matrices(A_half, h)
+        n_win = -(-(s1 - s0) // window)
+        table = _phase_table(starts[:, 1], 4 * field.K, h * (s0 + window * np.arange(n_win)),
+                             h * np.arange(window))
+        S = np.matmul(C, table).reshape(B, n, n, window, n_win)
+        S = np.ascontiguousarray(S.transpose(1, 2, 3, 0, 4))
         # identity steps fill the run's short final window
-        pad = -(s1 - s0) % window
-        if pad:
-            S = np.concatenate([S, np.broadcast_to(np.eye(n, dtype=complex), (B, pad, n, n))],
-                               axis=1)
-        Sg = S.reshape(B, -1, window, n, n)
-        W = Sg[:, :, 0]
-        for j in range(1, window):
-            W = _mm(Sg[:, :, j], W)
-        yield W
+        S[:, :, s1 - s0 - window * (n_win - 1):, :, -1] = np.eye(n)[:, :, None, None]
+        yield _fold_steps(S).transpose(2, 3, 0, 1)
         s0 = s1
 
 
@@ -221,9 +307,9 @@ def _scaled_reduce(W: np.ndarray):
     return W[:, 0], logs[:, 0]
 
 
-def propagate_many(field: DampingField, starts: list[PhasePoint], T: float,
+def propagate_many(field: DampingField, starts: np.ndarray, T: float,
                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """G_T for a batch of starting points (vectorized over the batch).
+    """G_T for a batch of starts, a float array (B, 2, d) of rows (x, xi).
 
     Returns (units (B, n, n), logs (B,)) with G_T(starts[b]) =
     e^{logs[b]} units[b] and each unit of RMS entry size 1.
@@ -240,7 +326,7 @@ def propagate_many(field: DampingField, starts: list[PhasePoint], T: float,
 
 def propagate(field: DampingField, start: PhasePoint, T: float, dt: float) -> ScaledMatrix:
     """G_T(start) by fixed-step RK4 along the exact trajectory (one-row ``propagate_many``)."""
-    units, logs = propagate_many(field, [start], T, dt)
+    units, logs = propagate_many(field, phase_array([start]), T, dt)
     return ScaledMatrix(units[0], float(logs[0]))
 
 
@@ -257,7 +343,7 @@ def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarra
     (e^{i w T} - 1)/(i w) with w = 2 k.xi0; resonant modes (w = 0, which
     includes k = 0) contribute linear terms T.
     """
-    amp, om, As = _trajectory_modes(field, [start])
+    amp, om, As = _trajectory_modes(field, phase_array([start]))
     return np.einsum("j,jmn->mn", amp[0] * _phase_integral(om[0], T), As)
 
 

@@ -57,6 +57,10 @@ class DampingField:
     coeffs: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n", "d"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         clean = {}
         for k, A in self.coeffs.items():
             k = tuple(int(c) for c in np.atleast_1d(k))

@@ -31,7 +31,7 @@ from scipy.linalg import circulant, expm
 
 from .cocycle import _phase_integral, propagate_many
 from .damping import DampingField
-from .geometry import TWO_PI, PhasePoint, mode_lattice
+from .geometry import TWO_PI, mode_lattice
 from .quantize import CircleGrid, Symbol, antiwick_build_circle
 from .spectrum import DiscretizedGenerator, multiplication_blocks
 
@@ -219,9 +219,10 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
     def fn_mat(x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         shape = x.shape
-        pts = [PhasePoint((float(xx),), (float(-0.5 * xxi),))
-               for xx, xxi in zip((x + 2.0 * xi * t).ravel(), xi.ravel())]
-        units, logs = propagate_many(field, pts, 2.0 * t, dt)
+        starts = np.empty((x.size, 2, 1))
+        starts[:, 0, 0] = np.mod(x + 2.0 * xi * t, TWO_PI).ravel()
+        starts[:, 1, 0] = (-0.5 * xi).ravel()
+        units, logs = propagate_many(field, starts, 2.0 * t, dt)
         return (np.exp(logs)[:, None, None] * units).reshape(shape + (field.n, field.n))
 
     return Symbol(fn_mat, field.n, label="cocycle")

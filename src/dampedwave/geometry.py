@@ -73,6 +73,11 @@ class PhasePoint:
         return float(sum(v * v for v in self.xi))
 
 
+def phase_array(points) -> np.ndarray:
+    """Phase points as one float array (B, 2, d) whose row b is (x, xi) of points[b]."""
+    return np.array([(p.x, p.xi) for p in points], dtype=float)
+
+
 def flow(point: PhasePoint, t: float) -> PhasePoint:
     """Hamiltonian flow of |xi|^2 for time t: x -> x + 2 xi t, xi unchanged."""
     x = np.asarray(point.x) + 2.0 * t * np.asarray(point.xi)

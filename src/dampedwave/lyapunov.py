@@ -35,7 +35,7 @@ import numpy as np
 from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
                       step_reach, window_products)
 from .damping import DampingField
-from .geometry import PhasePoint, flow, sample_shell
+from .geometry import PhasePoint, flow, phase_array, sample_shell
 
 DEFAULT_HORIZON = 200.0
 DEFAULT_DT = 1e-3
@@ -138,7 +138,7 @@ class _StreamStats:
         if renorm_every is not None:
             renorm_every = min(renorm_every, safe_cadence(field, h))
         window = _DEFAULT_GROUP if renorm_every is None else renorm_every
-        for W in window_products(field, points, T, dt, window=window):
+        for W in window_products(field, phase_array(points), T, dt, window=window):
             acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
                    for i, c in combos.items()}
             if renorm_every is None:

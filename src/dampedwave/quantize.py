@@ -295,15 +295,20 @@ def identity_error(grid: GridSpec) -> float:
     The probes are coherent states placed 5 sqrt(h) or more inside the box
     with momenta across the covered band, and one smooth oscillating bump.
     """
-    A = antiwick_build(symbol_one(), grid)
     span = grid.L - 6.0 * math.sqrt(grid.h)
+    if not span > 0.0:
+        raise ValueError(f"no room for identity probes: L={grid.L} <= 6 sqrt(h), h={grid.h}")
+    A = antiwick_build(symbol_one(), grid)
     ximax = grid.xi_max - 0.2
     probes = [coherent_state(x0, xi0, grid)
               for x0 in np.linspace(-span, span, 5)
               for xi0 in np.linspace(-ximax, ximax, 5)]
     y = grid.x
-    probes.append(np.exp(-0.5 * (y / max(span, 1e-9)) ** 2) * np.cos(3.0 * y))
-    return max(float(np.linalg.norm(A @ f - f) / np.linalg.norm(f)) for f in probes)
+    probes.append(np.exp(-0.5 * (y / span) ** 2) * np.cos(3.0 * y))
+    errors = np.array([np.linalg.norm(A @ f - f) / np.linalg.norm(f) for f in probes])
+    if not np.all(np.isfinite(errors)):
+        raise FloatingPointError("identity residual is not finite")
+    return float(np.max(errors))
 
 
 def aw_weyl_gap(symbol: Symbol, grid: GridSpec) -> float:

@@ -287,6 +287,28 @@ def test_quantize_check_command(tmp_path):
 QUANTIZE = {"quantize": {"h": 0.1, "L": 5.0}}
 
 
+@pytest.mark.parametrize("quant", [{"h": 50}, {"h": 0.25, "L": 5.0}, {"h": 0.1, "L": 3.0}])
+def test_quantize_check_rejects_an_empty_certified_region(tmp_path, capsys, quant):
+    # (TAIL_CUT + 2) sqrt(h) >= L: no interior left to compare on, so nothing may pass
+    cfg = {"quantize": quant, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["quantize-check", "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config quantize")
+    assert "pass" not in captured.out and "Traceback" not in captured.err
+    assert not (tmp_path / "out" / "quantize.json").exists()
+
+
+@pytest.mark.parametrize("override", [{"n": "1"}, {"n": True}, {"n": 0}, {"d": 1.5}, {"d": "1"}])
+def test_field_with_bad_sizes_is_diagnosed(tmp_path, capsys, override):
+    cfg = {"damping": {"field": dict(UNDAMPED["damping"]["field"], **override)},
+           "solver": {"N": 8}, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config damping.field:")
+    assert "integer >= 1" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
+
 @pytest.mark.parametrize("command, base, section, key, value", [
     ("quantize-check", QUANTIZE, "quantize", "h", 0),
     ("quantize-check", QUANTIZE, "quantize", "h", -0.1),

@@ -6,9 +6,6 @@ import pytest
 from dampedwave import cocycle
 from dampedwave.cocycle import (
     _compose,
-    _field_along,
-    _rk4_step_matrices,
-    _trajectory_modes,
     cocycle_residual,
     line_integral,
     log_norm2,
@@ -18,7 +15,7 @@ from dampedwave.cocycle import (
     window_products,
 )
 from dampedwave.damping import DampingField, one_plus_cos, random_field
-from dampedwave.geometry import PhasePoint, sample_shell
+from dampedwave.geometry import PhasePoint, phase_array, sample_shell
 
 SQRT2 = math.sqrt(2.0)
 SHELL_POINT = PhasePoint((1.0,), (1.0 / SQRT2,))
@@ -144,7 +141,7 @@ def test_line_integral_against_quadrature():
 def test_propagate_many_matches_single():
     f = random_field(2, 1, amplitude=0.5, seed=30)
     pts = sample_shell(4, 0.5, seed=5)
-    units, logs = propagate_many(f, pts, 8.0, 1e-3)
+    units, logs = propagate_many(f, phase_array(pts), 8.0, 1e-3)
     assert units.shape == (4, 2, 2) and logs.shape == (4,)
     norms = log_norm2(units, logs)
     for b, p in enumerate(pts):
@@ -186,21 +183,35 @@ def expanded_rk4_steps(A_half, h):
 
 
 def half_step_samples(field, starts, steps, h):
-    amp, om, As = _trajectory_modes(field, starts)
-    return _field_along(amp, om, As, 0.5 * h * np.arange(2 * steps + 1))
+    # a(x_t) on the half-step grid by its own Fourier sum: (B, 2 steps + 1, n, n)
+    ks, As = field.modes()
+    ts = 0.5 * h * np.arange(2 * steps + 1)
+    x = starts[:, None, 0] + 2.0 * ts[:, None] * starts[:, None, 1]
+    return np.einsum("bqj,jmn->bqmn", np.exp(1j * (x @ ks.T)), As)
+
+
+def rk4_polynomial(A, h):
+    # RK4's transfer polynomial of G' = -A G for a constant A: sum_{p <= 4} (-hA)^p / p!
+    term, total = np.eye(len(A), dtype=complex), np.eye(len(A), dtype=complex)
+    for p in range(1, 5):
+        term = term @ (-h * A) / p
+        total = total + term
+    return total
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rk4_step_matrices_match_expanded_polynomial(n):
-    f = random_field(n, 2, amplitude=1.3, seed=40 + n)
+    # window=1 yields the step matrices themselves; on the circle and on T^2
     h = 0.2  # large enough that the h^3 and h^4 terms are far above round-off
-    A_half = half_step_samples(f, sample_shell(3, 0.5, seed=n), 150, h)
-    ref = expanded_rk4_steps(A_half, h)
-    bound = 1e-14 * (1.0 + np.linalg.norm(ref, axis=(-2, -1)))
-    for A in (A_half, np.ascontiguousarray(A_half)):
-        S = _rk4_step_matrices(A, h)
+    for d in (1, 2):
+        f = random_field(n, 2 if d == 1 else 1, amplitude=1.3 if d == 1 else 0.9,
+                         seed=40 + n, d=d)
+        starts = phase_array(sample_shell(3, 0.5, d=d, seed=n))
+        ref = expanded_rk4_steps(half_step_samples(f, starts, 150, h), h)
+        S = np.concatenate(list(window_products(f, starts, 150 * h, h, window=1)), axis=1)
         assert S.shape == ref.shape
-        assert np.all(np.linalg.norm(S - ref, axis=(-2, -1)) <= bound)
+        bound = 1e-14 * (1.0 + np.linalg.norm(ref, axis=(-2, -1)))
+        assert np.all(np.linalg.norm(S - ref, axis=(-2, -1)) <= bound), d
 
 
 @pytest.mark.parametrize("B", [1, 4])
@@ -210,7 +221,7 @@ def test_window_products_match_plain_loop(monkeypatch, B, window):
     # small budget splits the run into several chunks
     monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", 96)
     f = random_field(3, 1, amplitude=0.9, seed=12)
-    starts = sample_shell(B, 0.5, seed=7)
+    starts = phase_array(sample_shell(B, 0.5, seed=7))
     T, dt = 1.0, 1e-2
     steps = expanded_rk4_steps(half_step_samples(f, starts, 100, dt), dt)
     ref = []
@@ -222,3 +233,34 @@ def test_window_products_match_plain_loop(monkeypatch, B, window):
     got = np.concatenate(list(window_products(f, starts, T, dt, window=window)), axis=1)
     assert got.shape == (B, len(ref), 3, 3)
     assert np.allclose(got, np.stack(ref, axis=1), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_field_windows_are_exactly_identity(d):
+    starts = phase_array(sample_shell(3, 0.5, d=d, seed=4))
+    for field in (DampingField.zero(2, d), DampingField(2, d, {})):
+        for W in window_products(field, starts, 2.0, 1e-2, window=7):
+            assert np.array_equal(W, np.broadcast_to(np.eye(2), W.shape))
+
+
+@pytest.mark.parametrize("window", [1, 6, 25])
+def test_constant_field_windows_are_powers_of_the_rk4_polynomial(window):
+    # K = 0: one frequency, so every step matrix is p(-hA) with p RK4's degree-4 polynomial
+    A = random_field(3, 0, amplitude=2.0, seed=8).coeffs[(0,)]
+    h = 0.05
+    starts = phase_array(sample_shell(2, 0.5, seed=1))
+    got = np.concatenate(list(window_products(DampingField.constant(A), starts, 100 * h, h,
+                                              window=window)), axis=1)
+    P = rk4_polynomial(A, h)
+    for i in range(got.shape[1]):
+        ref = np.linalg.matrix_power(P, min(window, 100 - i * window))
+        err = np.linalg.norm(got[:, i] - ref, axis=(-2, -1)) / np.linalg.norm(ref)
+        assert np.all(err <= 1e-14), (i, err)
+
+
+def test_window_products_take_one_start_array():
+    f = one_plus_cos()
+    with pytest.raises(ValueError, match="shape"):
+        next(window_products(f, np.zeros((2, 2, 2)), 1.0, 1e-2))
+    with pytest.raises(TypeError):
+        next(window_products(f, [SHELL_POINT], 1.0, 1e-2))

@@ -117,6 +117,12 @@ def test_construction_rejects_broken_symmetry():
         DampingField(1, 1, bad)
 
 
+@pytest.mark.parametrize("n, d", [("1", 1), (1, 1.0), (True, 1), (0, 1), (1, 0), (1.5, 1)])
+def test_construction_rejects_bad_sizes(n, d):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        DampingField(n, d, {})
+
+
 def test_json_roundtrip_bit_exact():
     f = random_field(2, 2, amplitude=1.7, seed=3)
     text = f.to_json()

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from dampedwave.damping import DampingField, extremal_bounds, one_plus_cos, random_field
-from dampedwave.geometry import Manifold
+from dampedwave.cocycle import propagate
+from dampedwave.geometry import Manifold, PhasePoint
 from dampedwave.evolution import (
     WaveState,
     _energies,
+    cocycle_symbol,
     energy,
     energy_balance_residual,
     energy_csv,
@@ -265,6 +267,20 @@ def test_factorization_matrix_field_baseline():
     f = DampingField.constant(0.4 * np.eye(2))
     r = factorization_residual(f, t=1.0, h=0.1, symbol_dt=0.01)
     assert r < 1e-8
+
+
+def test_matrix_cocycle_symbol_matches_propagate_per_node():
+    # the symbol at (x, xi) is G_{2t} from the point (x + 2 xi t, -xi / 2)
+    f = random_field(2, 1, 0.5, seed=3)
+    t, dt = 0.1, 0.01
+    x = np.array([[0.3, 6.1, -2.0], [12.0, 3.3, 0.0]])
+    xi = np.array([[1.5, -0.7, 0.2], [-3.0, 0.9, 2.4]])
+    vals = cocycle_symbol(f, t, dt)(x, xi)
+    assert vals.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(x.shape):
+        start = PhasePoint((x[idx] + 2.0 * xi[idx] * t,), (-0.5 * xi[idx],))
+        G = propagate(f, start, 2.0 * t, dt)
+        assert np.allclose(vals[idx], math.exp(G.log_scale) * G.unit, rtol=0.0, atol=1e-14)
 
 
 def test_factorization_rejections():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dampedwave import cocycle
 from dampedwave.cocycle import line_integral, plan_steps, propagate, propagate_many
 from dampedwave.damping import DampingField, one_plus_cos, random_field
-from dampedwave.geometry import PhasePoint, sample_shell
+from dampedwave.geometry import PhasePoint, phase_array, sample_shell
 from dampedwave.lyapunov import (
     DEFAULT_RENORM_EVERY,
     _StreamStats,
@@ -160,7 +160,7 @@ def test_floquet_matches_qr_oracle(field):
 def test_floquet_keeps_what_raw_eig_loses():
     f = stiff_field()
     exps = floquet_exponents(f, ORBITS, PERIOD)
-    units, logs = propagate_many(f, ORBITS, PERIOD, 1e-3)
+    units, logs = propagate_many(f, phase_array(ORBITS), PERIOD, 1e-3)
     raw = np.sort(np.log(np.abs(np.linalg.eigvals(units))) + logs[:, None], axis=1) / PERIOD
     assert np.max(np.abs(raw[:, 0] - exps[:, 0])) > 1.0
     assert np.max(np.abs(raw[:, 1] - exps[:, 1])) < 1e-10

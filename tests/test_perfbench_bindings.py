@@ -15,7 +15,7 @@ import pytest
 
 from dampedwave import cocycle, evolution, lyapunov, spectrum
 from dampedwave.damping import one_plus_cos, random_field
-from dampedwave.geometry import Manifold, PhasePoint, sample_shell
+from dampedwave.geometry import Manifold, PhasePoint, phase_array, sample_shell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,7 +37,7 @@ def test_tracer_installs_and_restores(tracer_module):
         assert lyapunov.window_products is cocycle.window_products
         assert lyapunov.window_products is not originals[0]
         f = random_field(2, 1, amplitude=0.5, seed=3)
-        evolution.propagate_many(f, sample_shell(3, 0.5, seed=1), 1.0, 1e-2)
+        evolution.propagate_many(f, phase_array(sample_shell(3, 0.5, seed=1)), 1.0, 1e-2)
         lyapunov.band_estimates(f, T=1.0, m=2, dt=1e-2, renorm_every=10)
         lyapunov.exterior_sums(f, sample_shell(1, 0.5, seed=2)[0], 1.0, 1e-2, 2)
     finally:
@@ -57,7 +57,7 @@ def test_closed_form_job_reads_propagate():
     exact = cocycle.scalar_closed_form(f, p, 6.0)
     assert abs(math.exp(G.log_scale) * G.unit[0, 0].real - exact) <= 1e-8 * exact
     f2 = random_field(2, 1, amplitude=0.7, seed=3)
-    units, logs = cocycle.propagate_many(f2, [p], 6.0, 1e-3)
+    units, logs = cocycle.propagate_many(f2, phase_array([p]), 6.0, 1e-3)
     G2 = cocycle.propagate(f2, p, 6.0, 1e-3)
     assert np.array_equal(G2.unit, units[0]) and G2.log_scale == logs[0]
 

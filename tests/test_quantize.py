@@ -42,6 +42,21 @@ def test_gridspec_validation():
         GridSpec.build(L, H, xi_max=1.0)
 
 
+def test_identity_error_needs_room_for_its_probes():
+    # L = 1 at h = 0.05 leaves L - 6 sqrt(h) < 0 for the probe centers
+    with pytest.raises(ValueError, match="identity probes"):
+        identity_error(GridSpec.build(1.0, 0.05))
+
+
+def test_identity_error_fails_on_a_nan_residual(grid, monkeypatch):
+    import dampedwave.quantize as quantize
+
+    monkeypatch.setattr(quantize, "antiwick_build",
+                        lambda sym, g: np.full((g.points, g.points), np.nan))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        identity_error(grid)
+
+
 def test_coherent_state_norm_and_phase(grid):
     e0 = coherent_state(0.0, 0.0, grid)
     assert abs(np.sum(np.abs(e0) ** 2) * grid.dx - 1.0) < 1e-10
