@@ -7,13 +7,12 @@ statements that relate the two, together with anti-Wick quantization
 utilities and a propagator-factorization experiment.
 """
 
-from .geometry import Manifold, PhasePoint, flow, phase_volume, sample_shell
+from .geometry import Manifold, PhasePoint, flow, sample_shell
 from .damping import DampingField, ExtremalBounds, extremal_bounds, one_plus_cos, random_field
 from .cocycle import ScaledMatrix, cocycle_residual, line_integral, propagate, scalar_closed_form
 from .lyapunov import (
     band_estimates,
     exterior_sums,
-    extrapolate_c_infinity,
     finite_time_bounds,
     lyapunov_spectrum,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Manifold",
     "PhasePoint",
     "flow",
-    "phase_volume",
     "sample_shell",
     "DampingField",
     "ExtremalBounds",
@@ -39,7 +37,6 @@ __all__ = [
     "scalar_closed_form",
     "band_estimates",
     "exterior_sums",
-    "extrapolate_c_infinity",
     "finite_time_bounds",
     "lyapunov_spectrum",
     "SpectrumSet",

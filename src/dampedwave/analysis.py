@@ -46,9 +46,6 @@ class BandReport:
     c_minus: float | None = None
     c_plus: float | None = None
 
-    def total_outliers(self) -> float:
-        return sum(w.outliers for w in self.windows)
-
 
 def _weights(taus: np.ndarray) -> np.ndarray:
     """Count weight per eigenvalue: 1/2 on the imaginary axis, else 1."""
@@ -138,9 +135,8 @@ def band_outliers(spectrum: SpectrumSet, lambda_minus: float, lambda_plus: float
         below = float(np.sum(w[taus[sel].imag <= lo]))
         windows.append(WindowCount(start, end, float(np.sum(w)), above, below))
         start = end
-    report = BandReport(lambda_minus, lambda_plus, epsilon, windows,
-                        weyl=weyl_report(spectrum), c_minus=c_minus, c_plus=c_plus)
-    return report
+    return BandReport(lambda_minus, lambda_plus, epsilon, windows,
+                      weyl=weyl_report(spectrum), c_minus=c_minus, c_plus=c_plus)
 
 
 @dataclass(frozen=True)
@@ -176,42 +172,9 @@ def cluster_histogram(spectrum: SpectrumSet, window: tuple, bins: int = 20,
     if hi - lo <= EDGE_TOL:  # a spread of a few ulps is one point: numpy's unit-width range
         lo, hi = 0.5 * (lo + hi) - 0.5, 0.5 * (lo + hi) + 0.5
     counts, edges = np.histogram(taus.imag, bins=bins, range=(lo, hi))
-    masses = {}
-    if exponents is not None:
-        exps = getattr(exponents, "exponents", exponents)
-        for lam in exps:
-            frac = float(np.mean(np.abs(taus.imag - (-lam)) <= epsilon))
-            masses[float(lam)] = frac
+    masses = {} if exponents is None else {
+        float(lam): float(np.mean(np.abs(taus.imag + lam) <= epsilon)) for lam in exponents}
     return ClusterHistogram(window, counts, edges, masses)
-
-
-def cluster_fraction_trend(spectrum: SpectrumSet, exponents, window_starts,
-                           epsilon: float = 0.1, window_width: float = 1.0) -> list[dict]:
-    """Fraction of window eigenvalues near any -lambda_i, per window start.
-
-    Exploratory output (no pass/fail): if eigenvalues concentrate on the
-    exponent lines, the fraction should climb toward 1 with the window
-    position.
-    """
-    exps = list(getattr(exponents, "exponents", exponents))
-    rows = []
-    for start in window_starts:
-        hist = cluster_histogram(spectrum, (start, start + window_width),
-                                 exponents=exps, epsilon=epsilon)
-        taus = spectrum.reliable()
-        taus = taus[(taus.real >= start) & (taus.real <= start + window_width)]
-        if taus.size:
-            near_any = np.zeros(taus.size, dtype=bool)
-            for lam in exps:
-                near_any |= np.abs(taus.imag - (-lam)) <= epsilon
-            frac = float(np.mean(near_any))
-        else:
-            frac = math.nan
-        rows.append({"window": [start, start + window_width],
-                     "fraction_near_exponents": frac,
-                     "per_exponent": hist.cluster_masses,
-                     "count": int(taus.size)})
-    return rows
 
 
 def format_band_table(report: BandReport) -> str:

@@ -12,9 +12,9 @@ Subcommands bind the library into the standard experiments:
 All experiment parameters live in a JSON config; flags only choose the
 command, the config path and an output directory.  Artifacts are
 deterministic given the config (reports embed its hash).  Exit codes:
-0 success, 1 input error, 2 a configured check failed, 3 a numerical
-failure (a linear-algebra routine failed or a floating-point error was
-raised).
+0 success, 1 input error (a MemoryError counts as one), 2 a configured
+check failed, 3 a numerical failure (a linear-algebra routine failed or a
+floating-point error was raised).
 """
 
 from __future__ import annotations
@@ -97,6 +97,14 @@ def _flag(sec: dict, name: str, key: str) -> bool:
     return v
 
 
+def _seed(sec: dict, name: str) -> int:
+    """``_number`` of ``sec["seed"]`` (0 when absent), held to be non-negative."""
+    v = _number(sec, name, "seed", 0, integer=True)
+    if v < 0:
+        raise ConfigError(f"config {name}.seed must be a non-negative integer, got {v}")
+    return v
+
+
 def _optional(sec: dict, name: str, key: str, **kw):
     """``_number`` of an optional key: None when it is absent or null."""
     return None if sec.get(key) is None else _number(sec, name, key, None, **kw)
@@ -127,7 +135,7 @@ def _field(cfg: dict, manifold: Manifold) -> damping.DampingField:
         return damping.random_field(_number(g, name, "n", None, integer=True),
                                     _number(g, name, "K", None, integer=True),
                                     _number(g, name, "amplitude", 1.0),
-                                    _number(g, name, "seed", 0, integer=True), d=manifold.d)
+                                    _seed(g, name), d=manifold.d)
     raise ConfigError("config damping needs either 'field' or 'generator'")
 
 
@@ -156,7 +164,7 @@ def _band_params(cfg: dict):
         "m": _number(sec, "lyapunov", "samples", lyapunov.DEFAULT_SAMPLES, integer=True,
                      positive=True),
         "dt": _number(sec, "lyapunov", "dt", lyapunov.DEFAULT_DT, positive=True),
-        "seed": _number(sec, "lyapunov", "seed", 0, integer=True),
+        "seed": _seed(sec, "lyapunov"),
     }
 
 
@@ -338,13 +346,21 @@ def run_quantize_check(cfg: dict, outdir: Path) -> int:
     if (quantize.TAIL_CUT + 2.0) * math.sqrt(h) >= L:
         raise ConfigError(f"config quantize: h={h} leaves no certified region inside L={L}; "
                           f"need {quantize.TAIL_CUT + 2.0:g} sqrt(h) < L")
-    grid = quantize.GridSpec.build(L, h, xi_max)
+    try:
+        grid = quantize.GridSpec.build(L, h, xi_max)
+    except ValueError as exc:
+        raise ConfigError(f"config quantize: {exc}")
+    probes = _psd_probe_symbols()
+    side = grid.points * max(sym.n for sym in probes)
+    if side > spectrum.SIDE_CAP:
+        raise ConfigError(f"config quantize: h={h}, L={L}, xi_max={xi_max} need {grid.points} "
+                          f"grid points, a dense side {side} above the cap {spectrum.SIDE_CAP}")
     id_err = quantize.identity_error(grid)
     checks = {"identity_error": id_err, "identity_pass": bool(id_err < 1e-6)}
     pos = []
     norm_ok = True
     xs, xis, _ = quantize._aw_nodes(grid)
-    for sym in _psd_probe_symbols():
+    for sym in probes:
         A = quantize.antiwick_build(sym, grid)
         w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
         pos.append(float(w[0]))
@@ -396,6 +412,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError
         print(f"error: numerical failure: {exc}", file=sys.stderr)

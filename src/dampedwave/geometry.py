@@ -32,11 +32,6 @@ class Manifold:
         if self.kind == "circle" and self.d != 1:
             raise ValueError("circle forces d = 1")
 
-    @property
-    def volume(self) -> float:
-        """Riemannian volume, (2*pi)^d."""
-        return TWO_PI ** self.d
-
 
 def mode_lattice(N: int, d: int) -> np.ndarray:
     """All frequency vectors k in Z^d with |k|_inf <= N, lexicographically sorted, as (M, d) ints."""
@@ -67,10 +62,6 @@ class PhasePoint:
     @property
     def d(self) -> int:
         return len(self.x)
-
-    def kinetic_energy(self) -> float:
-        """p(x, xi) = |xi|^2."""
-        return float(sum(v * v for v in self.xi))
 
 
 def phase_array(points) -> np.ndarray:
@@ -110,24 +101,3 @@ def sample_shell(m: int, E: float, d: int = 1, seed: int = 0) -> list[PhasePoint
             xi = r * g / np.linalg.norm(g)
         points.append(PhasePoint(tuple(x), tuple(xi)))
     return points
-
-
-def phase_volume(manifold: Manifold, level: str = "ball_01") -> float:
-    """Phase-space volume of p^{-1}([0,1]) (``ball_01``) or the Liouville
-    mass of the unit shell p^{-1}(1) (``shell_1``).
-
-    For d = 1 the shell consists of the two branches xi = +-1 and each
-    branch carries mass 2*pi (counting convention; no 1/|grad p| factor),
-    so the circle shell has mass 4*pi.  For d >= 2 the shell mass is the
-    coarea measure dS/|grad p| with |grad p| = 2 on the unit shell.
-    """
-    d = manifold.d
-    if level == "ball_01":
-        unit_ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        return TWO_PI ** d * unit_ball
-    if level == "shell_1":
-        if d == 1:
-            return 2.0 * TWO_PI
-        sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        return TWO_PI ** d * sphere_area / 2.0
-    raise ValueError(f"unknown level {level!r}")

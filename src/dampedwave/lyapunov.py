@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
                       step_reach, window_products)
 from .damping import DampingField
-from .geometry import PhasePoint, flow, phase_array, sample_shell
+from .geometry import PhasePoint, phase_array, sample_shell
 
 DEFAULT_HORIZON = 200.0
 DEFAULT_DT = 1e-3
@@ -54,17 +53,6 @@ class FiniteTimeBounds:
     c_minus: float
     c_plus: float
     sample_count: int
-
-
-@dataclass(frozen=True)
-class CInfinityEstimate:
-    """C bounds at the largest horizon plus a convergence diagnostic."""
-
-    c_minus: float
-    c_plus: float
-    T: float
-    diagnostic: float
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -220,40 +208,6 @@ def finite_time_bounds(field: DampingField, T: float, points: list[PhasePoint],
         raise ValueError("need at least one point")
     stats = _StreamStats(field, points, T, dt, _bound_orders(field.n))
     return FiniteTimeBounds(T, *_c_rates(stats.compounds, field.n, T), len(points))
-
-
-def extrapolate_c_infinity(field: DampingField, T_list, m: int = DEFAULT_SAMPLES,
-                           dt: float = DEFAULT_DT, seed: int = 0) -> CInfinityEstimate:
-    """C bounds at the largest horizon of T_list with a convergence diagnostic.
-
-    The estimate is the value at max(T_list) (no fit); the diagnostic is the
-    largest successive difference of the bounds along T_list.  The
-    ``converged`` flag drops when earlier differences exceed ten times the
-    final one, signalling pre-asymptotic horizons.
-    """
-    T_list = list(T_list)
-    if len(T_list) < 3 or T_list[0] <= 0 or any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise ValueError("T_list must be positive and increasing with at least 3 horizons")
-    moved = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
-    orders = _bound_orders(field.n)
-    acc = {i: (np.eye(math.comb(field.n, i), dtype=complex), np.zeros(m)) for i in orders}
-    series = []
-    prev_T = 0.0
-    for T in T_list:
-        seg = _StreamStats(field, moved, T - prev_T, dt, orders)
-        # C_i(G_T) = C_i(G_seg) C_i(G_prev) for every order
-        acc = {i: _compose(*seg.compounds[i], *acc[i]) for i in orders}
-        series.append(_c_rates(acc, field.n, T))
-        moved = [flow(p, T - prev_T) for p in moved]
-        prev_T = T
-    diffs = [max(abs(a[0] - b[0]), abs(a[1] - b[1])) for a, b in zip(series, series[1:])]
-    diagnostic = max(diffs)
-    last = diffs[-1]
-    converged = all(d <= 10.0 * last + 1e-15 for d in diffs)
-    if not converged:
-        warnings.warn("C-bound horizons look pre-asymptotic; enlarge T_list", stacklevel=2)
-    c_minus, c_plus = series[-1]
-    return CInfinityEstimate(c_minus, c_plus, T_list[-1], diagnostic, converged)
 
 
 def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,

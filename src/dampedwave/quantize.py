@@ -83,6 +83,8 @@ class GridSpec:
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         dx = min(math.sqrt(h) / 4.0, math.pi * h / (xi_max + TAIL_CUT * math.sqrt(h)))
+        if not math.isfinite(2.0 * L / dx):
+            raise ValueError(f"the grid point count 2L/dx overflows at h={h}, L={L}, xi_max={xi_max}")
         return cls(L, int(math.ceil(2.0 * L / dx)), h, xi_max)
 
 
@@ -309,14 +311,6 @@ def identity_error(grid: GridSpec) -> float:
     if not np.all(np.isfinite(errors)):
         raise FloatingPointError("identity residual is not finite")
     return float(np.max(errors))
-
-
-def aw_weyl_gap(symbol: Symbol, grid: GridSpec) -> float:
-    """Compressed ||Op_AW(a) - Op_W(a)||, the O(h) mollification gap."""
-    A = antiwick_build(symbol, grid)
-    W = weyl_build(symbol, grid)
-    C = certified_compressor(grid)
-    return float(np.linalg.norm(C.conj().T @ (A - W) @ C, ord=2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dampedwave import spectrum
 from dampedwave.cli import main
 from dampedwave.damping import DampingField, random_field
 from dampedwave.geometry import sample_shell
 from dampedwave.lyapunov import band_estimates, lyapunov_spectrum
+from dampedwave.quantize import GridSpec
 
 UNDAMPED = {
     "manifold": {"kind": "circle", "d": 1},
@@ -185,14 +187,26 @@ def test_torus_step_error_flags_a_stable_but_inaccurate_step(tmp_path):
 
 
 @pytest.mark.parametrize("override", [{"T": 0}, {"T": -5}, {"samples": 0}, {"seed": 0.5},
-                                      {"dt": 0}, {"dt": -1e-3}, {"dt": float("nan")}])
+                                      {"dt": 0}, {"dt": -1e-3}, {"dt": float("nan")},
+                                      {"seed": -1}])
 @pytest.mark.parametrize("base", [CONSTANT, TORUS], ids=["circle", "torus"])
 @pytest.mark.parametrize("command", ["lyapunov", "bands"])
 def test_band_params_rejected_on_every_manifold(tmp_path, capsys, command, base, override):
     cfg = dict(base, output={"dir": str(tmp_path / "out")})
     cfg["lyapunov"] = dict(base["lyapunov"], **override)
     assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
-    assert "error: config lyapunov." in capsys.readouterr().err
+    (key,) = override
+    assert capsys.readouterr().err.startswith(f"error: config lyapunov.{key} must be")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_generator_seed_names_its_key(tmp_path, capsys):
+    cfg = json.loads(json.dumps(dict(TORUS, output={"dir": str(tmp_path / "out")})))
+    cfg["damping"]["generator"]["seed"] = -2
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config damping.generator.seed must be a non-negative integer")
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -274,6 +288,16 @@ def test_decay_bad_input_is_diagnosed(tmp_path, capsys, override, word):
     assert not (tmp_path / "out" / "decay.json").exists()
 
 
+def test_decay_out_of_memory_is_an_input_error(tmp_path, capsys):
+    # T / dt = 1e12 recorded steps: the trajectory arrays would take terabytes
+    cfg = dict(EVOLUTION, output={"dir": str(tmp_path / "out")})
+    cfg["evolution"] = {"N": 4, "T": 1e9, "dt": 0.001, "stride": 1}
+    assert main(["decay", "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory:") and "Traceback" not in captured.err
+    assert not (tmp_path / "out" / "decay.json").exists()
+
+
 def test_quantize_check_command(tmp_path):
     cfg = {"quantize": {"h": 0.1, "L": 5.0, "xi_max": 3.0},
            "output": {"dir": str(tmp_path / "out")}}
@@ -285,6 +309,32 @@ def test_quantize_check_command(tmp_path):
 
 
 QUANTIZE = {"quantize": {"h": 0.1, "L": 5.0}}
+
+
+@pytest.mark.parametrize("quant, words", [
+    ({"h": 1e-9, "L": 1.0}, ["h=1e-09", "L=1.0", "xi_max=3.0", "1910020371 grid points"]),
+    ({"h": 5e-324, "L": 1.0}, ["h=5e-324", "L=1.0", "overflows"]),
+    ({"h": 0.1, "L": 1e308}, ["L=1e+308", "overflows"]),
+])
+def test_quantize_check_rejects_a_grid_above_the_dense_cap(tmp_path, capsys, quant, words):
+    # rejected before any array is built: h = 1e-9 would ask for about 14 GiB
+    cfg = {"quantize": quant, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["quantize-check", "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config quantize: ")
+    assert all(w in captured.err for w in words) and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quantize_check_cap_counts_the_matrix_probe(tmp_path, capsys, monkeypatch):
+    # the 2 x 2 probe symbol makes the largest dense side twice the point count
+    points = GridSpec.build(5.0, 0.1).points
+    monkeypatch.setattr(spectrum, "SIDE_CAP", 2 * points - 1)
+    cfg = dict(QUANTIZE, output={"dir": str(tmp_path / "out")})
+    assert main(["quantize-check", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config quantize: ") and f"{points} grid points" in err
+    assert f"dense side {2 * points} above the cap {2 * points - 1}" in err
 
 
 @pytest.mark.parametrize("quant", [{"h": 50}, {"h": 0.25, "L": 5.0}, {"h": 0.1, "L": 3.0}])

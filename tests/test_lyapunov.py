@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from dampedwave.lyapunov import (
     _log_sigma_extremes,
     band_estimates,
     exterior_sums,
-    extrapolate_c_infinity,
     finite_time_bounds,
     floquet_exponents,
     lyapunov_spectrum,
@@ -59,29 +57,6 @@ def test_one_plus_cos_bounds_match_extremal_line_integral():
     dev = SQRT2 * abs(math.sin(T / SQRT2)) / T
     assert fb.c_minus == pytest.approx(1.0 - dev, abs=1e-3)
     assert fb.c_plus == pytest.approx(1.0 + dev, abs=1e-3)
-
-
-def test_extrapolate_constant_has_zero_diagnostic():
-    f = DampingField.constant([[0.9]])
-    est = extrapolate_c_infinity(f, [5.0, 10.0, 20.0], m=4, dt=1e-3, seed=0)
-    assert est.c_minus == pytest.approx(0.9, abs=1e-9)
-    assert est.c_plus == pytest.approx(0.9, abs=1e-9)
-    assert est.diagnostic < 1e-9
-    assert est.converged
-
-
-def test_extrapolate_one_plus_cos_converges_to_mean():
-    est = extrapolate_c_infinity(one_plus_cos(), [25.0, 50.0, 100.0], m=16, dt=2e-3, seed=3)
-    assert est.c_minus == pytest.approx(1.0, abs=2.0 / est.T)
-    assert est.c_plus == pytest.approx(1.0, abs=2.0 / est.T)
-    assert est.diagnostic < 0.2
-
-
-def test_extrapolate_rejects_bad_horizons():
-    with pytest.raises(ValueError):
-        extrapolate_c_infinity(one_plus_cos(), [5.0, 4.0, 6.0])
-    with pytest.raises(ValueError):
-        extrapolate_c_infinity(one_plus_cos(), [5.0, 6.0])
 
 
 def test_spectrum_zero_field():
@@ -212,17 +187,6 @@ def test_c_bounds_match_direct_svd(monkeypatch, budget):
     assert abs(fb.c_plus - c_plus) < 1e-12
 
 
-def test_extrapolation_last_horizon_matches_direct_bounds():
-    # the segments are composed C_i(G_T) = C_i(G_seg) C_i(G_prev) for every order
-    f = random_field(2, 1, amplitude=0.8, seed=31)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = extrapolate_c_infinity(f, [2.0, 4.0, 6.0], m=4, seed=9)
-    fb = finite_time_bounds(f, 6.0, sample_shell(4, 0.5, seed=9))
-    assert abs(est.c_minus - fb.c_minus) < 1e-12
-    assert abs(est.c_plus - fb.c_plus) < 1e-12
-
-
 def test_rates_never_invert(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.inv called")
@@ -234,9 +198,6 @@ def test_rates_never_invert(monkeypatch):
     est = band_estimates(f, T=4.0, m=3, dt=1e-2, seed=0)
     assert abs(est.c_minus - fb.c_minus) < 1e-12
     assert abs(est.c_plus - fb.c_plus) < 1e-12
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        extrapolate_c_infinity(f, [1.0, 2.0, 4.0], m=3, dt=1e-2)
     lyapunov_spectrum(f, POINT, 4.0, dt=1e-2)
 
 
@@ -374,8 +335,6 @@ def test_rates_reject_nonpositive_horizon():
             band_estimates(f, T=T, m=2)
         with pytest.raises(ValueError):
             exterior_sums(f, POINT, T)
-        with pytest.raises(ValueError):
-            extrapolate_c_infinity(f, [T, 2.0, 4.0], m=2, dt=1e-2)
 
 
 def test_sum_rule_against_symbolic_trace():

@@ -15,7 +15,7 @@ from dampedwave.quantize import (
     _midpoints,
     antiwick_build,
     antiwick_build_circle,
-    aw_weyl_gap,
+    certified_compressor,
     coherent_state,
     identity_error,
     mollified_weyl_residual,
@@ -202,10 +202,16 @@ def test_mollified_requires_symbolic_form(grid):
 
 
 def test_aw_weyl_gap_is_order_h():
+    def gap(symbol, grid):
+        # compressed ||Op_AW(a) - Op_W(a)||, the O(h) mollification gap
+        C = certified_compressor(grid)
+        D = antiwick_build(symbol, grid) - weyl_build(symbol, grid)
+        return np.linalg.norm(C.conj().T @ D @ C, ord=2)
+
     for sym_fn in (symbol_cos_x, symbol_harmonic):
         g1 = GridSpec.build(L, 0.08)
         g2 = GridSpec.build(L, 0.04)
-        ratio = aw_weyl_gap(sym_fn(), g1) / aw_weyl_gap(sym_fn(), g2)
+        ratio = gap(sym_fn(), g1) / gap(sym_fn(), g2)
         assert 1.6 <= ratio <= 2.6
 
 
