@@ -8,13 +8,13 @@ with x_t = x_0 + 2 xi_0 t the exactly known trajectory, so only the n x n
 linear system is integrated (classical fixed-step RK4).  The damping is a
 trigonometric polynomial a(x) = sum_{|k|_inf <= K} A_k e^{ik.x}, so along the
 straight trajectory a(x_t) = sum_k A_k e^{ik.x0} e^{2i(k.xi0)t} is a
-trigonometric polynomial in t, and so is the RK4 transfer matrix S(t) of the
-step [t, t + h]: its stages are products of three samples of a, and a
-product of two modes k, l is the mode k + l.  ``_step_polynomial`` runs the
-RK4 stage form once per start on the Fourier coefficients over the integer
-frequency box |f|_inf <= 4K, which is exact whatever xi0 is (frequencies
-merge by their integer index, never by their value 2 f.xi0).  Every step
-matrix of a chunk is then one column of one gemm of those coefficients
+trigonometric polynomial in t, and so is the RK4 transfer matrix of the step
+[t, t + h]: S(t) = Phi(x_t), with Phi(y) the RK4 step built from the samples
+a(y), a(y + xi0 h) and a(y + 2 xi0 h), a product of at most four samples of
+a and so a trigonometric polynomial over the integer box |f|_inf <= 4K.
+``_step_polynomial`` evaluates Phi once per start on the (8K + 1)^d grid and
+reads its Fourier coefficients off one DFT, exactly whatever xi0 is.  Every
+step matrix of a chunk is then one column of one gemm of those coefficients
 against a table of phases e^{2i f.xi0 t}.  Window products of the steps are
 composed by pairwise products with running magnitude renormalization, which
 keeps horizons of hundreds of e-foldings inside double precision.  Batches
@@ -72,18 +72,6 @@ def _check_starts(starts, d: int) -> np.ndarray:
     return starts
 
 
-def _trajectory_modes(field: DampingField, starts: np.ndarray):
-    """Per-start Fourier data of t -> a(x_t): amplitudes and frequencies.
-
-    Along x_t = x0 + 2 xi0 t each mode A_k e^{ik.x} restricts to
-    A_k e^{ik.x0} e^{2i(k.xi0)t}.
-    """
-    ks, As = field.modes()
-    amp = np.exp(1j * (starts[:, 0] @ ks.T))  # (B, J)
-    om = 2.0 * starts[:, 1] @ ks.T            # (B, J)
-    return amp, om, As
-
-
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched small-matrix product a @ b over the leading (broadcast) axes.
 
@@ -98,61 +86,44 @@ def _step_polynomial(field: DampingField, starts: np.ndarray, h: float) -> np.nd
 
     S(t) = sum_f C_f e^{2i (f.xi0) t} over the integer box |f|_inf <= 4K;
     returns C of shape (B, n*n, F) with F = (8K + 1)^d and f in C order.
-    The stage factors B_c = a(x_{t + c h/2}), c = 0, 1, 2, have the
-    coefficients A_k e^{ik.x0} e^{2i(k.xi0) c h/2}, and the classical RK4
-    update of G' = -a(t)G runs in its nested stage form
+    S(t) = Phi(x0 + 2 xi0 t), where Phi(y) is the classical RK4 update of
+    G' = -a G in its nested stage form on the samples B_c = a(y + c xi0 h),
+    c = 0, 1, 2,
 
       K2 = B2 (h/2 B1 - I),  K3 = B2 (-h/2 K2 - I),  K4 = B3 (-h K3 - I),
       S  = I + (h/6) (2 (K2 + K3) + K4 - B1)
 
-    on coefficient boxes (K_i is the i-th stage slope divided by G).  A
-    left factor B_c multiplies mode k into mode k + l, so each product widens
-    the box by K; this is the expanded polynomial
-    I - (h/6)(B1 + 4 B2 + B3) + ... + (h^4/24) B3 B2^2 B1 with three
-    products instead of six.
+    (K_i is the i-th stage slope divided by G).  Phi is a product of at most
+    four samples of a, a trigonometric polynomial over |f|_inf <= 4K, so one
+    DFT of Phi(x0 + y) on the grid y = 2 pi m / (8K + 1), m in {0, ..., 8K}^d,
+    gives its coefficients exactly, and they are the C_f.  Matrices are held as
+    component planes (n, n, 3 stages, B, grid).
     """
-    ks, _ = field.modes()
-    ks = ks.astype(int)
-    K, d = field.K, field.d
-    amp, om, As = _trajectory_modes(field, starts)
-    B, n, J = len(starts), field.n, len(ks)
-    eye = np.eye(n, dtype=complex)
-    # a polynomial of box radius r is an array (B, n, *(2r + 1,) * d, n): row, frequency, column
+    ks, As = field.modes()
+    d, n, N = field.d, field.n, 8 * field.K + 1
+    grid = (2.0 * math.pi / N) * np.indices((N,) * d).reshape(d, -1).T
+    waves = np.exp(1j * (grid @ ks.T))  # (F, J)
+    # a(x0 + y + c xi0 h) = sum_k A_k e^{ik.(x0 + c xi0 h)} e^{ik.y}, stage c first
+    amp = np.exp(1j * ((starts[:, 0] + (h * np.arange(3))[:, None, None] * starts[:, 1]) @ ks.T))
+    samples = np.zeros((n, n, 3, len(starts), len(grid)), dtype=complex)
+    for j, A in enumerate(As):
+        samples += A[:, :, None, None, None] * (amp[:, :, j, None] * waves[:, j])
+    B1, B2, B3 = samples.transpose(2, 0, 1, 3, 4)
+    diag = (np.arange(n),) * 2
 
-    def center(r):
-        return (slice(None), slice(None)) + (r,) * d
+    def stage(Bc, Y, scale):
+        # the plane product Bc (scale Y - I)
+        Y = scale * Y
+        Y[diag] -= 1.0
+        return sum(Bc[:, m, None] * Y[m] for m in range(n))
 
-    def times(factor, Y, r):
-        # mode k of the factor times mode l of Y lands on mode k + l
-        prods = np.matmul(factor.reshape(B, J * n, n), Y.reshape(B, n, -1))
-        prods = prods.reshape(B, J, n, *Y.shape[2:])
-        out = np.zeros((B, n) + (2 * (r + K) + 1,) * d + (n,), dtype=complex)
-        for j, k in enumerate(ks):
-            box = tuple(slice(K + ki, K + ki + 2 * r + 1) for ki in k)
-            out[(slice(None), slice(None)) + box] += prods[:, j]
-        return out
-
-    def minus_eye(Y, r):
-        Y[center(r)] -= eye
-        return Y
-
-    def inner(r):
-        # the box of radius r inside the box of radius 4K
-        return (slice(None), slice(None)) + (slice(4 * K - r, 4 * K + r + 1),) * d
-
-    B1, B2, B3 = ((amp * np.exp((0.5j * c * h) * om))[:, :, None, None] * As for c in range(3))
-    B1box = np.zeros((B, n) + (2 * K + 1,) * d + (n,), dtype=complex)
-    B1box[(slice(None), slice(None)) + tuple(ks.T + K)] = B1.transpose(0, 2, 1, 3)
-    K2 = times(B2, minus_eye((0.5 * h) * B1box, K), K)
-    K3 = times(B2, minus_eye((-0.5 * h) * K2, 2 * K), 2 * K)
-    K4 = times(B3, minus_eye((-h) * K3, 3 * K), 3 * K)
-    S = K4
-    S[inner(3 * K)] += 2.0 * K3
-    S[inner(2 * K)] += 2.0 * K2
-    S[inner(K)] -= B1box
-    S *= h / 6.0
-    S[center(4 * K)] += eye
-    return S.reshape(B, n, -1, n).transpose(0, 1, 3, 2).reshape(B, n * n, -1)
+    K2 = stage(B2, B1, 0.5 * h)
+    K3 = stage(B2, K2, -0.5 * h)
+    S = (h / 6.0) * (2.0 * (K2 + K3) + stage(B3, K3, -h) - B1)
+    S[diag] += 1.0
+    axes = tuple(range(3, 3 + d))
+    S = np.fft.fftn(S.reshape(n, n, -1, *(N,) * d), axes=axes, norm="forward")
+    return np.fft.fftshift(S, axes=axes).reshape(n * n, len(starts), -1).transpose(1, 0, 2).copy()
 
 
 def _phase_table(xi: np.ndarray, R: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -341,10 +312,12 @@ def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarra
 
     Each Fourier mode has the elementary antiderivative
     (e^{i w T} - 1)/(i w) with w = 2 k.xi0; resonant modes (w = 0, which
-    includes k = 0) contribute linear terms T.
+    includes k = 0) contribute linear terms T: along x_t = x0 + 2 xi0 t the
+    mode A_k e^{ik.x} is A_k e^{ik.x0} e^{2i(k.xi0)t}.
     """
-    amp, om, As = _trajectory_modes(field, phase_array([start]))
-    return np.einsum("j,jmn->mn", amp[0] * _phase_integral(om[0], T), As)
+    ks, As = field.modes()
+    x, xi = phase_array([start])[0]
+    return np.einsum("j,jmn->mn", np.exp(1j * (ks @ x)) * _phase_integral(2.0 * (ks @ xi), T), As)
 
 
 def scalar_closed_form(field: DampingField, start: PhasePoint, T: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import circulant, expm
 
-from .cocycle import _phase_integral, propagate_many
+from .cocycle import _phase_integral, plan_steps, propagate_many
 from .damping import DampingField
 from .geometry import TWO_PI, mode_lattice
 from .quantize import CircleGrid, Symbol, antiwick_build_circle
@@ -112,8 +112,7 @@ def evolve(gen: DiscretizedGenerator, state: WaveState, T: float, dt: float,
         raise ValueError(f"dt={dt} must lie in (0, {limit:g}); 0.5/N^2 is the stability heuristic")
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and >= 0, got {T}")
-    steps = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
-    h = T / steps if steps else dt
+    steps, h = plan_steps(T, dt)
     S = term = np.eye(gen.side, dtype=complex)
     for j in range(1, 5):
         term = (h / j) * (gen.matrix @ term)

@@ -6,14 +6,16 @@ Two families of rates are estimated from the same trajectories:
   c_plus = -(1/T) min log sigma_min(G_T) over energy-shell samples, whose
   T -> infinity limits confine all but finitely many eigenfrequencies;
 * Lyapunov exponents via discrete QR (re-orthonormalize a propagated frame
-  once per group of ``renorm_every`` RK4 steps, clamped to the field's safe
-  group length, and average the log diagonal), whose essential range over
-  the shell gives the band that carries the spectral density.
+  once per group of ``renorm_every`` RK4 steps and average the log
+  diagonal), whose essential range over the shell gives the band that
+  carries the spectral density.
 
 All of them read one fold of the window transfer matrices
 (``cocycle.window_products``), ``_StreamStats``: it maps each window factor
 to its i-th compounds C_i and folds them with ``cocycle._compose`` into
 scaled (units, logs) arrays, whose norms come from ``cocycle.log_norm2``.
+Every fold, with or without a QR frame, clamps its window (the QR group) to
+the field's safe group length ``safe_cadence``.
 The C bounds read orders 1, n - 1 and n, since
 log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; nothing is
 inverted.  The essential inf/sup are estimated by min/max over
@@ -97,19 +99,20 @@ class _StreamStats:
     Norms of compounds give every singular-value rate without inverting
     anything, also where sigma_min/sigma_max is far below machine precision.
     Windows are ``renorm_every`` steps long, or ``_DEFAULT_GROUP`` when it is
-    None.  Only when ``renorm_every`` is given does a QR-orthonormalized frame
-    run along (otherwise the QR attributes stay at zero logs): its log
+    None, clamped to ``safe_cadence`` either way.  Only when ``renorm_every``
+    is given does a QR-orthonormalized frame run along (otherwise the QR
+    attributes stay at zero logs): its log
     diagonal accumulates the Lyapunov sums, with a snapshot near T/2.  The
     frame loop runs one product and one QR per window; the R diagonals of a
     chunk are logged and summed once per chunk, and the snapshot is the
     running sum at the first window end at or after T/2.
 
-    The cadence that runs, ``self.renorm_every``, is ``renorm_every`` clamped
-    to ``safe_cadence``: a window product then has log-condition at most
-    ``_GROUP_LOG_COND``, so its small directions survive until the QR.  In
-    exact arithmetic the exponents do not depend on the cadence (the R
-    factors of successive QRs multiply), so the clamp only keeps rounding
-    from making them depend on it.
+    The clamp gives every window product log-condition at most
+    ``_GROUP_LOG_COND``, so its small directions survive until its compounds
+    are formed and the QR sees it; ``self.renorm_every`` is the cadence that
+    ran.  In exact arithmetic nothing read here depends on the window length
+    (compounds and the R factors of successive QRs multiply), so the clamp
+    only keeps rounding from making it depend on it.
     """
 
     def __init__(self, field: DampingField, points: list[PhasePoint], T: float, dt: float,
@@ -123,9 +126,10 @@ class _StreamStats:
         rank_ok = True
         windows_done = 0
         half_logs, half_time = None, None
+        window = min(_DEFAULT_GROUP if renorm_every is None else renorm_every,
+                     safe_cadence(field, h))
         if renorm_every is not None:
-            renorm_every = min(renorm_every, safe_cadence(field, h))
-        window = _DEFAULT_GROUP if renorm_every is None else renorm_every
+            renorm_every = window
         for W in window_products(field, phase_array(points), T, dt, window=window):
             acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
                    for i, c in combos.items()}

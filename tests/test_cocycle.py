@@ -201,17 +201,26 @@ def rk4_polynomial(A, h):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rk4_step_matrices_match_expanded_polynomial(n):
-    # window=1 yields the step matrices themselves; on the circle and on T^2
+    # window=1 yields the step matrices themselves; on the circle, T^2 and T^3,
+    # up to F = 289 (K = 2 on T^2) and F = 729 (K = 1 on T^3) coefficients
     h = 0.2  # large enough that the h^3 and h^4 terms are far above round-off
-    for d in (1, 2):
-        f = random_field(n, 2 if d == 1 else 1, amplitude=1.3 if d == 1 else 0.9,
-                         seed=40 + n, d=d)
+    for d, K, amplitude in ((1, 0, 1.3), (1, 2, 1.3), (2, 1, 0.9), (2, 2, 0.6), (3, 1, 0.4)):
+        f = random_field(n, K, amplitude=amplitude, seed=40 + n, d=d)
         starts = phase_array(sample_shell(3, 0.5, d=d, seed=n))
         ref = expanded_rk4_steps(half_step_samples(f, starts, 150, h), h)
         S = np.concatenate(list(window_products(f, starts, 150 * h, h, window=1)), axis=1)
         assert S.shape == ref.shape
         bound = 1e-14 * (1.0 + np.linalg.norm(ref, axis=(-2, -1)))
-        assert np.all(np.linalg.norm(S - ref, axis=(-2, -1)) <= bound), d
+        assert np.all(np.linalg.norm(S - ref, axis=(-2, -1)) <= bound), (d, K)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_step_polynomial_rows_are_the_single_start_builds(d):
+    f = random_field(2, 1, amplitude=0.7, seed=9, d=d)
+    starts = phase_array(sample_shell(5, 0.5, d=d, seed=d))
+    C = cocycle._step_polynomial(f, starts, 0.05)
+    for b in range(len(starts)):
+        assert np.max(np.abs(C[b] - cocycle._step_polynomial(f, starts[b:b + 1], 0.05)[0])) <= 1e-15
 
 
 @pytest.mark.parametrize("B", [1, 4])

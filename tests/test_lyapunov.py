@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dampedwave import cocycle
-from dampedwave.cocycle import line_integral, plan_steps, propagate, propagate_many
+from dampedwave import cocycle, lyapunov
+from dampedwave.cocycle import (line_integral, plan_steps, propagate, propagate_many,
+                                window_products)
 from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, phase_array, sample_shell
 from dampedwave.lyapunov import (
@@ -312,7 +313,7 @@ def stiff_coupled_field():
     return DampingField(2, 1, {(0,): np.diag([1.0 + 0j, 300.0]), (1,): A1, (-1,): A1})
 
 
-def test_cadence_is_clamped_to_the_safe_group_length():
+def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
     # 250 steps of h = 5e-3 on this field form a product with log-condition
     # near 2 * 300 * 1.25; its small direction is lost before the QR sees it
     f = stiff_coupled_field()
@@ -323,6 +324,21 @@ def test_cadence_is_clamped_to_the_safe_group_length():
         kw = {} if r is None else {"renorm_every": r}
         est = band_estimates(f, T=1.0, m=2, dt=5e-3, seed=0, **kw)
         assert est.diagnostics["renorm_every"] == ran
+        if r is None:
+            c_plus_qr = est.c_plus
+    # the folds without a QR frame are clamped too: the order-2 compound
+    # rate is the mean log |det| of the step matrices, the C bound does not
+    # depend on whether the QR runs, and the Floquet exponents are those of
+    # one-step windows
+    steps = np.concatenate(list(window_products(f, phase_array([POINT]), 20.0, 5e-3, window=1)),
+                           axis=1)[0]
+    log_det = np.sum(np.log(np.abs(np.linalg.det(steps)))) / 20.0
+    assert abs(exterior_sums(f, POINT, 20.0, 5e-3, 2) - log_det) < 1e-9
+    assert abs(finite_time_bounds(f, 1.0, sample_shell(2, 0.5, seed=0), 5e-3).c_plus
+               - c_plus_qr) < 1e-9
+    floquet = floquet_exponents(f, ORBITS, PERIOD, 5e-3)
+    monkeypatch.setattr(lyapunov, "_DEFAULT_GROUP", 1)
+    assert np.max(np.abs(floquet_exponents(f, ORBITS, PERIOD, 5e-3) - floquet)) < 1e-9
     mild = band_estimates(random_field(2, 1, 0.6, seed=5), T=1.0, m=2, dt=1e-3, seed=0)
     assert mild.diagnostics["renorm_every"] == DEFAULT_RENORM_EVERY == 250
     assert safe_cadence(DampingField.zero(2, 1), 1e-3) == math.inf
