@@ -17,13 +17,17 @@ reads its Fourier coefficients off one DFT, exactly whatever xi0 is.  Every
 step matrix of a chunk is then one column of one gemm of those coefficients
 against a table of phases e^{2i f.xi0 t}.  Window products of the steps are
 composed by pairwise products with running magnitude renormalization, which
-keeps horizons of hundreds of e-foldings inside double precision.  Batches
-pass between layers as arrays (units (B, n, n), logs (B,)) with
+keeps horizons of hundreds of e-foldings inside double precision.  Both
+folds of window products, ``propagate_many`` here and the stream of
+``lyapunov``, take one window rule: the window is clamped to
+``safe_cadence``, the longest one whose product keeps its small directions.
+Batches pass between layers as arrays (units (B, n, n), logs (B,)) with
 G = e^{logs} units of RMS entry size 1; ``_compose`` forms every scaled
 product, and ``propagate`` returns one row as a ``ScaledMatrix``.  Starts
 enter as one float array (B, 2, d) whose row b is (x, xi)
-(``geometry.phase_array``).  For n = 1 the exact exponential of the
-symbolic line integral is available as an independent oracle.
+(``geometry.phase_array``).  ``_line_integrals`` integrates a exactly along a
+batch of trajectories; for n = 1 the exponential of minus that integral is
+the cocycle itself, an independent oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ _DEFAULT_GROUP = 32
 _CHUNK_BUDGET = 720_000
 #: RK4 is stable for h*lambda in [-2.78, 0] on the negative real axis
 _RK4_REAL_LIMIT = 2.78
+#: bound on log cond of one window product: 2 * sum_k ||A_k||_2 * (window duration)
+_GROUP_LOG_COND = 18.0
 
 
 @dataclass(frozen=True)
@@ -55,13 +61,6 @@ class ScaledMatrix:
 
     unit: np.ndarray
     log_scale: float
-
-
-def _check_horizon(T: float, dt: float):
-    if not math.isfinite(T) or T < 0.0:
-        raise ValueError(f"horizon T={T} must be finite and >= 0")
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ValueError(f"step dt={dt} must be positive and finite")
 
 
 def _check_starts(starts, d: int) -> np.ndarray:
@@ -174,7 +173,10 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
     The count is ceil(T/dt) and the step is stretched to T/count so the
     horizon is hit exactly.
     """
-    _check_horizon(T, dt)
+    if not math.isfinite(T) or T < 0.0:
+        raise ValueError(f"horizon T={T} must be finite and >= 0")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"step dt={dt} must be positive and finite")
     M = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
     return M, (T / M if M else dt)
 
@@ -182,11 +184,22 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
 def step_reach(field: DampingField, h: float) -> float:
     """h * sum_k ||A_k||_2, a bound on h ||a(x)||_2 over the whole manifold.
 
-    ``window_products`` guards RK4's stability interval with it, and the QR
-    frame of ``lyapunov`` sizes its groups of steps by it.
+    ``window_products`` guards RK4's stability interval with it, and
+    ``safe_cadence`` sizes the windows of every fold by it.
     """
     _, As = field.modes()
     return h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+
+
+def safe_cadence(field: DampingField, h: float) -> int | float:
+    """Longest window, in RK4 steps of size h, whose product has
+    log-condition at most ``_GROUP_LOG_COND``: 2 * sum_k ||A_k||_2 * tau
+    bounds it over a window of duration tau.  Unbounded (inf) for a zero field.
+    """
+    reach = step_reach(field, h)
+    if reach == 0.0:
+        return math.inf
+    return max(1, math.floor(0.5 * _GROUP_LOG_COND / reach))
 
 
 def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float,
@@ -283,14 +296,16 @@ def propagate_many(field: DampingField, starts: np.ndarray, T: float,
     """G_T for a batch of starts, a float array (B, 2, d) of rows (x, xi).
 
     Returns (units (B, n, n), logs (B,)) with G_T(starts[b]) =
-    e^{logs[b]} units[b] and each unit of RMS entry size 1.
+    e^{logs[b]} units[b] and each unit of RMS entry size 1.  Windows are
+    ``_DEFAULT_GROUP`` steps, clamped to ``safe_cadence``.
     """
-    _check_horizon(T, dt)
+    h = plan_steps(T, dt)[1]
     B = len(starts)
     n = field.n
     units = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
     logs = np.zeros(B)
-    for W in window_products(field, starts, T, dt):
+    window = min(_DEFAULT_GROUP, safe_cadence(field, h))
+    for W in window_products(field, starts, T, dt, window=window):
         units, logs = _compose(*_scaled_reduce(W), units, logs)
     return units, logs
 
@@ -301,23 +316,26 @@ def propagate(field: DampingField, start: PhasePoint, T: float, dt: float) -> Sc
     return ScaledMatrix(units[0], float(logs[0]))
 
 
-def _phase_integral(w: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{i w t} dt elementwise: (e^{i w T} - 1)/(i w), and T where |w| < 1e-12."""
-    res = np.abs(w) < 1e-12
-    return np.where(res, T, (np.exp(1j * w * T) - 1.0) / np.where(res, 1.0, 1j * w))
-
-
-def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarray:
-    """Exact integral of a along the trajectory of `start` over [0, T].
+def _line_integrals(field: DampingField, starts: np.ndarray, T: float) -> np.ndarray:
+    """Exact integrals of a along the trajectories of ``starts`` (B, 2, d) over
+    [0, T]: shape (B, n, n).
 
     Each Fourier mode has the elementary antiderivative
-    (e^{i w T} - 1)/(i w) with w = 2 k.xi0; resonant modes (w = 0, which
+    (e^{i w T} - 1)/(i w) with w = 2 k.xi0; resonant modes (|w| < 1e-12, which
     includes k = 0) contribute linear terms T: along x_t = x0 + 2 xi0 t the
     mode A_k e^{ik.x} is A_k e^{ik.x0} e^{2i(k.xi0)t}.
     """
     ks, As = field.modes()
-    x, xi = phase_array([start])[0]
-    return np.einsum("j,jmn->mn", np.exp(1j * (ks @ x)) * _phase_integral(2.0 * (ks @ xi), T), As)
+    w = 2.0 * (starts[:, 1] @ ks.T)
+    res = np.abs(w) < 1e-12
+    modes = np.where(res, T, (np.exp(1j * w * T) - 1.0) / np.where(res, 1.0, 1j * w))
+    return np.einsum("bj,jmn->bmn", np.exp(1j * (starts[:, 0] @ ks.T)) * modes, As)
+
+
+def line_integral(field: DampingField, start: PhasePoint, T: float) -> np.ndarray:
+    """Exact integral of a along the trajectory of `start` over [0, T] (one-row
+    ``_line_integrals``)."""
+    return _line_integrals(field, phase_array([start]), T)[0]
 
 
 def scalar_closed_form(field: DampingField, start: PhasePoint, T: float) -> float:

@@ -7,15 +7,14 @@ A damping field is a trigonometric polynomial
 from the d-torus into the n x n Hermitian matrices.  Finite Fourier support
 keeps the frequency-space assembly of the wave generator exactly banded and
 makes line integrals along straight trajectories symbolic, which the cocycle
-and spectrum modules rely on.  Smooth non-polynomial dampings enter only
-through projection onto K modes (``DampingField.from_function``); the
-projection error is the caller's responsibility.
+and spectrum modules rely on.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -49,7 +48,9 @@ class DampingField:
 
     coeffs maps frequency tuples k (|k|_inf <= K) to complex n x n arrays.
     Construction enforces the conjugate symmetry A_{-k} = A_k^dagger, which
-    is exactly pointwise Hermitianity of a.
+    is exactly pointwise Hermitianity of a, and rejects a frequency that is
+    not d integral numbers (booleans included) or repeats, and any
+    non-finite coefficient.
     """
 
     n: int
@@ -62,13 +63,21 @@ class DampingField:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         clean = {}
-        for k, A in self.coeffs.items():
-            k = tuple(int(c) for c in np.atleast_1d(k))
+        for key, A in self.coeffs.items():
+            k = key if isinstance(key, tuple) else (key,)
             if len(k) != self.d:
                 raise ValueError(f"frequency {k} does not match d={self.d}")
+            if not all(not isinstance(c, bool) and (isinstance(c, numbers.Integral) or
+                       isinstance(c, numbers.Real) and float(c).is_integer()) for c in k):
+                raise ValueError(f"frequency {k} is not a tuple of integers")
+            k = tuple(int(c) for c in k)
+            if k in clean:
+                raise ValueError(f"frequency {k} is repeated")
             A = np.asarray(A, dtype=complex)
             if A.shape != (self.n, self.n):
                 raise ValueError(f"coefficient for {k} is not {self.n}x{self.n}")
+            if not np.all(np.isfinite(A)):
+                raise ValueError(f"coefficient for {k} is not finite")
             clean[k] = A
         for k, A in clean.items():
             mk = tuple(-c for c in k)
@@ -131,8 +140,10 @@ class DampingField:
         doc = json.loads(text)
         coeffs = {}
         for item in doc["coeffs"]:
-            A = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
-            coeffs[tuple(item["k"])] = A
+            k = tuple(item["k"])
+            if k in coeffs:
+                raise ValueError(f"frequency {list(k)} is repeated")
+            coeffs[k] = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
         return cls(doc["n"], doc["d"], coeffs)
 
     @classmethod
@@ -140,37 +151,6 @@ class DampingField:
         """The constant field a(x) = matrix (must be Hermitian)."""
         A = np.atleast_2d(np.asarray(matrix, dtype=complex))
         return cls(A.shape[0], d, {(0,) * d: A})
-
-    @classmethod
-    def from_function(cls, fn, n: int, d: int, K: int) -> "DampingField":
-        """Project a smooth matrix field onto |k|_inf <= K by uniform sampling.
-
-        Exact when fn is already a trig polynomial of degree <= K; otherwise
-        the caller owns the aliasing error.
-        """
-        m = 4 * (K + 1)
-        grid = 2.0 * math.pi * np.arange(m) / m
-        xs = np.stack(np.meshgrid(*([grid] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        vals = np.array([np.atleast_2d(fn(x if d > 1 else x[0])) for x in xs])
-        vals = vals.reshape((m,) * d + (n, n))
-        spec = np.fft.fftn(vals, axes=tuple(range(d))) / m**d
-        coeffs = {}
-        for k in map(tuple, mode_lattice(K, d).tolist()):
-            idx = tuple(np.mod(k, m))
-            A = spec[idx]
-            if np.max(np.abs(A)) > 1e-14:
-                coeffs[k] = A
-        zero = (0,) * d
-        coeffs.setdefault(zero, np.zeros((n, n), dtype=complex))
-        # enforce exact conjugate symmetry against sampling roundoff
-        for k in list(coeffs):
-            mk = tuple(-c for c in k)
-            if mk not in coeffs:
-                coeffs[mk] = coeffs[k].conj().T
-            else:
-                avg = 0.5 * (coeffs[k] + coeffs[mk].conj().T)
-                coeffs[k], coeffs[mk] = avg, avg.conj().T
-        return cls(n, d, coeffs)
 
 
 def extremal_bounds(field: DampingField, grid_points: int | None = None) -> ExtremalBounds:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import circulant, expm
 
-from .cocycle import _phase_integral, plan_steps, propagate_many
+from .cocycle import _line_integrals, plan_steps, propagate_many
 from .damping import DampingField
 from .geometry import TWO_PI, mode_lattice
 from .quantize import CircleGrid, Symbol, antiwick_build_circle
@@ -198,33 +198,18 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
     Scalar fields use the exact exponential of the mode-wise line integral;
     matrix fields fall back to batched RK4 cocycle runs per quadrature node.
     """
-    ks, As = field.modes()
-    kvec = ks[:, 0]
 
-    if field.n == 1:
-        avals = As[:, 0, 0]
-
-        def fn(x, xi):
-            x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-            y = x + 2.0 * xi * t
-            eta = -0.5 * xi
-            w = 2.0 * np.multiply.outer(eta, kvec)
-            phases = np.exp(1j * np.multiply.outer(y, kvec))
-            integral = np.sum(phases * _phase_integral(w, 2.0 * t) * avals, axis=-1)
-            return np.exp(-np.real(integral))
-
-        return Symbol(fn, 1, label="cocycle")
-
-    def fn_mat(x, xi):
+    def fn(x, xi):
         x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        shape = x.shape
         starts = np.empty((x.size, 2, 1))
         starts[:, 0, 0] = np.mod(x + 2.0 * xi * t, TWO_PI).ravel()
         starts[:, 1, 0] = (-0.5 * xi).ravel()
+        if field.n == 1:
+            return np.exp(-_line_integrals(field, starts, 2.0 * t)[:, 0, 0].real).reshape(x.shape)
         units, logs = propagate_many(field, starts, 2.0 * t, dt)
-        return (np.exp(logs)[:, None, None] * units).reshape(shape + (field.n, field.n))
+        return (np.exp(logs)[:, None, None] * units).reshape(x.shape + (field.n, field.n))
 
-    return Symbol(fn_mat, field.n, label="cocycle")
+    return Symbol(fn, field.n, label="cocycle")
 
 
 def shell_cutoff_symbol(n: int = 1) -> Symbol:

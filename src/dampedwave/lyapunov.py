@@ -10,13 +10,13 @@ Two families of rates are estimated from the same trajectories:
   diagonal), whose essential range over the shell gives the band that
   carries the spectral density.
 
-All of them read one fold of the window transfer matrices
-(``cocycle.window_products``), ``_StreamStats``: it maps each window factor
-to its i-th compounds C_i and folds them with ``cocycle._compose`` into
-scaled (units, logs) arrays, whose norms come from ``cocycle.log_norm2``.
-Every fold, with or without a QR frame, clamps its window (the QR group) to
-the field's safe group length ``safe_cadence``.
-The C bounds read orders 1, n - 1 and n, since
+All of them read the record of one pass, ``_stream``, over the window
+transfer matrices (``cocycle.window_products``).  The pass maps each window
+factor to its i-th compounds C_i, folds them with ``cocycle._compose`` into
+scaled (units, logs) arrays whose norms come from ``cocycle.log_norm2``, and
+can run a QR frame along.  Its windows follow the one rule of
+``cocycle.propagate_many``: clamped to ``cocycle.safe_cadence``, with or
+without the frame.  The C bounds read orders 1, n - 1 and n, since
 log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; nothing is
 inverted.  The essential inf/sup are estimated by min/max over
 Monte-Carlo shell samples at finite horizon; half-horizon values are carried
@@ -28,13 +28,12 @@ reads the exponents off one monodromy, with QR as its oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
-                      step_reach, window_products)
+                      safe_cadence, window_products)
 from .damping import DampingField
 from .geometry import PhasePoint, phase_array, sample_shell
 
@@ -42,8 +41,6 @@ DEFAULT_HORIZON = 200.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLES = 64
 DEFAULT_RENORM_EVERY = 250
-#: bound on log cond of one QR group: 2 * sum_k ||A_k||_2 * (group duration)
-_GROUP_LOG_COND = 18.0
 SHELL_ENERGY = 0.5
 
 
@@ -90,95 +87,71 @@ def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
     return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
 
 
-class _StreamStats:
+@dataclass(frozen=True)
+class _Stream:
+    """One ``_stream`` pass: ``compounds[i]`` is the (units, logs) batch of
+    C_i(G_T); ``qr_logs`` (B, n) sums the frame's log R-diagonals, and
+    ``half_logs`` is that sum at ``half_time`` (zeros and T without a frame);
+    ``window`` is the cadence that ran; ``rank_ok`` is False after a zero
+    R-diagonal."""
+
+    compounds: dict
+    qr_logs: np.ndarray
+    half_logs: np.ndarray
+    half_time: float
+    window: int
+    rank_ok: bool
+
+
+def _stream(field: DampingField, points: list[PhasePoint], T: float, dt: float,
+            orders=(), renorm_every: int | None = None) -> _Stream:
     """One pass over the transfer-matrix stream: compound products and a QR frame.
 
-    For each i in ``orders`` it keeps the scaled i-th compound C_i(G_T) per
-    trajectory, folded from the compounds of the window factors
-    (C_i(AB) = C_i(A) C_i(B)); ``compounds[i]`` is its (units, logs) batch.
-    Norms of compounds give every singular-value rate without inverting
-    anything, also where sigma_min/sigma_max is far below machine precision.
-    Windows are ``renorm_every`` steps long, or ``_DEFAULT_GROUP`` when it is
-    None, clamped to ``safe_cadence`` either way.  Only when ``renorm_every``
-    is given does a QR-orthonormalized frame run along (otherwise the QR
-    attributes stay at zero logs): its log
-    diagonal accumulates the Lyapunov sums, with a snapshot near T/2.  The
-    frame loop runs one product and one QR per window; the R diagonals of a
-    chunk are logged and summed once per chunk, and the snapshot is the
-    running sum at the first window end at or after T/2.
-
-    The clamp gives every window product log-condition at most
-    ``_GROUP_LOG_COND``, so its small directions survive until its compounds
-    are formed and the QR sees it; ``self.renorm_every`` is the cadence that
-    ran.  In exact arithmetic nothing read here depends on the window length
-    (compounds and the R factors of successive QRs multiply), so the clamp
-    only keeps rounding from making it depend on it.
+    For each i in ``orders`` the compounds of the window factors are folded
+    into C_i(G_T) (C_i(AB) = C_i(A) C_i(B)); their norms give every
+    singular-value rate without inverting anything.  Windows are
+    ``renorm_every`` steps, or ``_DEFAULT_GROUP`` when it is None, clamped to
+    ``safe_cadence`` either way, as in ``cocycle.propagate_many``.  Only when
+    ``renorm_every`` is given does a QR-orthonormalized frame run along, one
+    product and one QR per window; the R diagonals of a chunk are logged and
+    summed once, and the half-horizon snapshot is the running sum at the
+    first window end at or after T/2.  In exact arithmetic nothing read here
+    depends on the window length; the clamp keeps rounding from making it so.
     """
-
-    def __init__(self, field: DampingField, points: list[PhasePoint], T: float, dt: float,
-                 orders=(), renorm_every: int | None = None):
-        B, n = len(points), field.n
-        M, h = plan_steps(T, dt)
-        combos = {i: list(itertools.combinations(range(n), i)) for i in orders}
-        acc = {i: (np.eye(len(c), dtype=complex), np.zeros(B)) for i, c in combos.items()}
-        Q = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
-        qr_logs = np.zeros((B, n))
-        rank_ok = True
-        windows_done = 0
-        half_logs, half_time = None, None
-        window = min(_DEFAULT_GROUP if renorm_every is None else renorm_every,
-                     safe_cadence(field, h))
-        if renorm_every is not None:
-            renorm_every = window
-        for W in window_products(field, phase_array(points), T, dt, window=window):
-            acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
-                   for i, c in combos.items()}
-            if renorm_every is None:
-                continue
-            k = W.shape[1]
-            diag = np.empty((k, B, n), dtype=complex)
-            for i in range(k):
-                Q, R = np.linalg.qr(_mm(W[:, i], Q))
-                diag[i] = np.einsum("bii->bi", R)
-            diag = np.abs(diag)
-            if np.any(diag == 0.0):
-                rank_ok = False
-                diag = np.maximum(diag, 1e-300)
-            # sequential sums from the running total, as one window at a time
-            cums = np.cumsum(np.concatenate([qr_logs[None], np.log(diag)]), axis=0)
-            qr_logs = cums[-1]
-            if half_logs is None:
-                ends = np.minimum(renorm_every * np.arange(windows_done + 1,
-                                                           windows_done + k + 1), M)
-                hit = np.flatnonzero(ends * h >= 0.5 * T)
-                if hit.size:
-                    half_logs = cums[hit[0] + 1].copy()
-                    half_time = float(ends[hit[0]] * h)
-            windows_done += k
-        self.T = T
-        self.renorm_every = renorm_every
-        self.compounds = acc
-        self.qr_logs = qr_logs
-        self.half_logs = half_logs if half_logs is not None else qr_logs.copy()
-        self.half_time = half_time if half_time is not None else T
-        self.rank_ok = rank_ok
-
-    def exponents(self) -> np.ndarray:
-        """(B, n) ascending QR exponents at the full horizon."""
-        return np.sort(self.qr_logs / self.T, axis=1)
-
-    def exponents_half(self) -> np.ndarray:
-        return np.sort(self.half_logs / self.half_time, axis=1)
-
-
-def safe_cadence(field: DampingField, h: float) -> int | float:
-    """Longest QR group, in RK4 steps of size h, whose product has
-    log-condition at most ``_GROUP_LOG_COND``: 2 * sum_k ||A_k||_2 * tau
-    bounds it over a group of duration tau.  Unbounded (inf) for a zero field."""
-    reach = step_reach(field, h)
-    if reach == 0.0:
-        return math.inf
-    return max(1, math.floor(0.5 * _GROUP_LOG_COND / reach))
+    if not T > 0:
+        raise ValueError(f"horizon T={T} must be positive")
+    B, n = len(points), field.n
+    M, h = plan_steps(T, dt)
+    window = min(_DEFAULT_GROUP if renorm_every is None else renorm_every, safe_cadence(field, h))
+    combos = {i: list(itertools.combinations(range(n), i)) for i in orders}
+    acc = {i: (np.eye(len(c), dtype=complex), np.zeros(B)) for i, c in combos.items()}
+    Q = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
+    qr_logs = np.zeros((B, n))
+    half_logs, half_time, steps, rank_ok = None, T, 0, True
+    for W in window_products(field, phase_array(points), T, dt, window=window):
+        acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
+               for i, c in combos.items()}
+        if renorm_every is None:
+            continue
+        k = W.shape[1]
+        diag = np.empty((k, B, n), dtype=complex)
+        for i in range(k):
+            Q, R = np.linalg.qr(_mm(W[:, i], Q))
+            diag[i] = np.einsum("bii->bi", R)
+        diag = np.abs(diag)
+        if np.any(diag == 0.0):
+            rank_ok = False
+            diag = np.maximum(diag, 1e-300)
+        # sequential sums from the running total, as one window at a time
+        cums = np.cumsum(np.concatenate([qr_logs[None], np.log(diag)]), axis=0)
+        qr_logs = cums[-1]
+        ends = np.minimum(steps + window * np.arange(1, k + 1), M)
+        steps = ends[-1]
+        hit = np.flatnonzero(ends * h >= 0.5 * T)
+        if half_logs is None and hit.size:
+            half_logs, half_time = cums[hit[0] + 1], float(ends[hit[0]] * h)
+    return _Stream(acc, qr_logs, qr_logs if half_logs is None else half_logs, half_time, window,
+                   rank_ok)
 
 
 def _bound_orders(n: int) -> list:
@@ -206,23 +179,19 @@ def _c_rates(compounds: dict, n: int, T: float) -> tuple[float, float]:
 def finite_time_bounds(field: DampingField, T: float, points: list[PhasePoint],
                        dt: float = DEFAULT_DT) -> FiniteTimeBounds:
     """C bounds over an explicit set of phase points (shell samples, a grid)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
     if not points:
         raise ValueError("need at least one point")
-    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n))
-    return FiniteTimeBounds(T, *_c_rates(stats.compounds, field.n, T), len(points))
+    s = _stream(field, points, T, dt, _bound_orders(field.n))
+    return FiniteTimeBounds(T, *_c_rates(s.compounds, field.n, T), len(points))
 
 
 def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,
                       dt: float = DEFAULT_DT,
                       renorm_every: int = DEFAULT_RENORM_EVERY) -> LyapunovSpectrum:
     """Ascending QR exponents of the cocycle at `point` over horizon T."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    stats = _StreamStats(field, [point], T, dt, renorm_every=renorm_every)
-    exps = stats.exponents()[0]
-    return LyapunovSpectrum(tuple(float(v) for v in exps), T, point, stats.rank_ok)
+    s = _stream(field, [point], T, dt, renorm_every=renorm_every)
+    exps = np.sort(s.qr_logs / T, axis=1)[0]
+    return LyapunovSpectrum(tuple(float(v) for v in exps), T, point, s.rank_ok)
 
 
 def exterior_sums(field: DampingField, point: PhasePoint, T: float,
@@ -235,12 +204,9 @@ def exterior_sums(field: DampingField, point: PhasePoint, T: float,
     scaled product's top singular value is read off, which stays accurate
     even when sigma_i/sigma_1 underflows a direct SVD of G_T.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     if not 1 <= i <= field.n:
         raise ValueError(f"need 1 <= i <= {field.n}")
-    stats = _StreamStats(field, [point], T, dt, (i,))
-    return float(log_norm2(*stats.compounds[i])[0] / T)
+    return float(log_norm2(*_stream(field, [point], T, dt, (i,)).compounds[i])[0] / T)
 
 
 def floquet_exponents(field: DampingField, points: list[PhasePoint], period: float,
@@ -251,9 +217,7 @@ def floquet_exponents(field: DampingField, points: list[PhasePoint], period: flo
     of the i-th compound of the monodromy M, folded from the window factors;
     ``eig`` of the raw M would lose eigenvalues below eps times the largest.
     """
-    if not period > 0:
-        raise ValueError("period must be positive")
-    acc = _StreamStats(field, points, period, dt, range(1, field.n + 1)).compounds.values()
+    acc = _stream(field, points, period, dt, range(1, field.n + 1)).compounds.values()
     sums = np.stack([lg + np.log(np.max(np.abs(np.linalg.eigvals(u)), axis=-1)) for u, lg in acc], 1)
     return np.sort(np.diff(sums / period, axis=1, prepend=0.0), axis=1)
 
@@ -269,29 +233,26 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     shell samples (indices into ``sample_shell(m, SHELL_ENERGY, d, seed)``)
     that attain lambda_minus and lambda_plus, and the QR cadence that ran.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     if m < 1:
         raise ValueError("need at least one sample")
     points = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
-    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n), renorm_every)
-    c_minus, c_plus = _c_rates(stats.compounds, field.n, T)
-    exps = stats.exponents()
-    exps_half = stats.exponents_half()
+    s = _stream(field, points, T, dt, _bound_orders(field.n), renorm_every)
+    c_minus, c_plus = _c_rates(s.compounds, field.n, T)
+    exps = np.sort(s.qr_logs / T, axis=1)
+    exps_half = np.sort(s.half_logs / s.half_time, axis=1)
     lo, hi = int(np.argmin(exps[:, 0])), int(np.argmax(exps[:, -1]))
     lam_minus, lam_plus = float(exps[lo, 0]), float(exps[hi, -1])
     diagnostics = {
         "lambda_minus_sample": lo,
         "lambda_plus_sample": hi,
-        "half_horizon": stats.half_time,
+        "half_horizon": s.half_time,
         "lambda_minus_half": float(np.min(exps_half[:, 0])),
         "lambda_plus_half": float(np.max(exps_half[:, -1])),
         "max_exponent_drift": float(np.max(np.abs(exps - exps_half))),
-        "rank_ok": stats.rank_ok,
+        "rank_ok": s.rank_ok,
         "dt": dt,
         "seed": seed,
-        "renorm_every": stats.renorm_every,
+        "renorm_every": s.window,
         "source": "qr",
     }
     return BandEstimates(c_minus, c_plus, lam_minus, lam_plus, T, m, diagnostics)
-

@@ -359,6 +359,28 @@ def test_field_with_bad_sizes_is_diagnosed(tmp_path, capsys, override):
     assert not (tmp_path / "out" / "eigenvalues.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["lyapunov", "spectrum"])
+@pytest.mark.parametrize("second, word", [
+    ({"k": [0.7], "re": [[5.0]], "im": [[0.0]]}, "integers"),
+    ({"k": [1.5], "re": [[0.5]], "im": [[0.0]]}, "integers"),
+    ({"k": [True], "re": [[0.5]], "im": [[0.0]]}, "integers"),
+    ({"k": [0], "re": [[5.0]], "im": [[0.0]]}, "repeated"),
+    ({"k": [1], "re": [[float("nan")]], "im": [[0.0]]}, "finite"),
+])
+def test_field_with_bad_frequency_or_coefficient_is_diagnosed(tmp_path, capsys, command, second,
+                                                              word):
+    # each would otherwise run: int(0.7) = 0 overwrote a = 1 with a = 5, and NaN exited 3
+    coeffs = [{"k": [0], "re": [[1.0]], "im": [[0.0]]}, second]
+    cfg = {"damping": {"field": {"n": 1, "d": 1, "coeffs": coeffs}},
+           "lyapunov": {"T": 1.0, "dt": 0.01}, "solver": {"N": 8},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config damping.field:")
+    assert word in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, base, section, key, value", [
     ("quantize-check", QUANTIZE, "quantize", "h", 0),
     ("quantize-check", QUANTIZE, "quantize", "h", -0.1),

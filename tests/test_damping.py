@@ -134,11 +134,30 @@ def test_json_roundtrip_bit_exact():
     assert set(doc) == {"n", "d", "K", "coeffs"}
 
 
-def test_from_function_recovers_trig_polynomial():
-    f = one_plus_cos()
-    g = DampingField.from_function(lambda x: np.array([[1.0 + math.cos(x)]]), 1, 1, 1)
-    for k in f.coeffs:
-        assert np.max(np.abs(f.coeffs[k] - g.coeffs[k])) < 1e-13
+ONE = np.array([[1.0 + 0j]])
+
+
+@pytest.mark.parametrize("coeffs, word", [
+    ({(0,): ONE, (0.7,): 5.0 * ONE}, "integers"),
+    ({(0,): ONE, (1.5,): ONE, (-1.5,): ONE}, "integers"),
+    ({(0,): ONE, (True,): ONE, (-1,): ONE}, "integers"),
+    ({(0,): ONE, 0: 2.0 * ONE}, "repeated"),
+    ({(0,): np.array([[math.nan]])}, "finite"),
+    ({(0,): ONE, (1,): np.array([[math.inf]]), (-1,): np.array([[math.inf]])}, "finite"),
+])
+def test_construction_rejects_bad_frequencies_and_coefficients(coeffs, word):
+    with pytest.raises(ValueError, match=word):
+        DampingField(1, 1, coeffs)
+
+
+def test_from_json_rejects_a_repeated_frequency():
+    doc = {"n": 1, "d": 1, "coeffs": [{"k": [0], "re": [[1.0]], "im": [[0.0]]},
+                                      {"k": [0.0], "re": [[5.0]], "im": [[0.0]]}]}
+    with pytest.raises(ValueError, match="repeated"):
+        DampingField.from_json(json.dumps(doc))
+    doc["coeffs"].pop()
+    doc["coeffs"][0]["k"] = [0.0]
+    assert DampingField.from_json(json.dumps(doc)).coeffs.keys() == {(0,)}
 
 
 def test_shifted_moves_spectrum():

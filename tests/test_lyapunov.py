@@ -13,9 +13,9 @@ from dampedwave.damping import DampingField, one_plus_cos, random_field
 from dampedwave.geometry import PhasePoint, phase_array, sample_shell
 from dampedwave.lyapunov import (
     DEFAULT_RENORM_EVERY,
-    _StreamStats,
     _bound_orders,
     _log_sigma_extremes,
+    _stream,
     band_estimates,
     exterior_sums,
     finite_time_bounds,
@@ -243,14 +243,14 @@ def test_step_outside_rk4_stability_is_rejected():
 
 def stream_rates(field, points, T, dt, renorm_every):
     # per-point rates, stacked in the order of `points`
-    stats = _StreamStats(field, points, T, dt, _bound_orders(field.n), renorm_every)
-    top, bottom = _log_sigma_extremes(stats.compounds, field.n)
+    s = _stream(field, points, T, dt, _bound_orders(field.n), renorm_every)
+    top, bottom = _log_sigma_extremes(s.compounds, field.n)
     return {
         "top": top / T,
         "bottom": bottom / T,
-        "exponents": stats.exponents(),
-        "half": stats.exponents_half(),
-        "half_time": np.full(len(points), stats.half_time),
+        "exponents": np.sort(s.qr_logs / T, axis=1),
+        "half": np.sort(s.half_logs / s.half_time, axis=1),
+        "half_time": np.full(len(points), s.half_time),
     }
 
 
@@ -342,6 +342,25 @@ def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
     mild = band_estimates(random_field(2, 1, 0.6, seed=5), T=1.0, m=2, dt=1e-3, seed=0)
     assert mild.diagnostics["renorm_every"] == DEFAULT_RENORM_EVERY == 250
     assert safe_cadence(DampingField.zero(2, 1), 1e-3) == math.inf
+
+
+@pytest.mark.parametrize("field, dt", [(random_field(3, 1, 0.6, seed=19), 1e-3),
+                                       (random_field(2, 1, 0.6, seed=1, d=2), 1e-3),
+                                       (stiff_coupled_field(), 5e-3)])
+def test_propagate_many_is_the_order_one_stream(field, dt):
+    # both folds take one window rule, so G_T is the same float for float
+    pts = sample_shell(3, 0.5, d=field.d, seed=4)
+    units, logs = propagate_many(field, phase_array(pts), 2.0, dt)
+    ref_units, ref_logs = _stream(field, pts, 2.0, dt, (1,)).compounds[1]
+    assert np.array_equal(units, ref_units) and np.array_equal(logs, ref_logs)
+
+
+def test_zero_cadence_is_rejected():
+    f = random_field(2, 1, amplitude=0.5, seed=3)
+    with pytest.raises(ValueError):
+        lyapunov_spectrum(f, POINT, 1.0, 1e-2, renorm_every=0)
+    with pytest.raises(ValueError):
+        band_estimates(f, T=1.0, m=2, dt=1e-2, renorm_every=0)
 
 
 def test_rates_reject_nonpositive_horizon():
