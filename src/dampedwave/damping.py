@@ -110,14 +110,12 @@ class DampingField:
         return cls(n, d, {(0,) * d: np.zeros((n, n), dtype=complex)})
 
     def at(self, x) -> np.ndarray:
-        """Evaluate a(x); the output is symmetrized to (H + H^dagger)/2."""
+        """Evaluate a at points of shape (..., d), or at a number on the circle, as
+        (..., n, n) arrays symmetrized to (H + H^dagger)/2."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.coeffs:
-            return np.zeros((self.n, self.n), dtype=complex)
         ks, As = self.modes()
-        phases = np.exp(1j * ks @ x)
-        H = np.tensordot(phases, As, axes=(0, 0))
-        return 0.5 * (H + H.conj().T)
+        H = np.tensordot(np.exp((1j * x) @ ks.T), As, axes=(-1, 0))
+        return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
     def shifted(self, mu: float) -> "DampingField":
         """The field a + mu*Id (shifts every eigenvalue by mu)."""
@@ -166,9 +164,7 @@ def extremal_bounds(field: DampingField, grid_points: int | None = None) -> Extr
         raise ValueError(f"grid_points={grid_points} cannot resolve K={K}")
     grid = 2.0 * math.pi * np.arange(grid_points) / grid_points
     xs = np.stack(np.meshgrid(*([grid] * field.d), indexing="ij"), axis=-1).reshape(-1, field.d)
-    ks, As = field.modes()
-    H = np.tensordot(np.exp(1j * xs @ ks.T), As, axes=(1, 0))
-    w = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+    w = np.linalg.eigvalsh(field.at(xs))
     return ExtremalBounds(float(w[:, 0].min()), float(w[:, -1].max()), grid_points)
 
 

@@ -212,23 +212,18 @@ def cocycle_symbol(field: DampingField, t: float, dt: float = 1e-3) -> Symbol:
     return Symbol(fn, field.n, label="cocycle")
 
 
-def shell_cutoff_symbol(n: int = 1) -> Symbol:
+def shell_cutoff_symbol() -> Symbol:
     """Smooth bump supported on 1/2 <= |xi| <= 3/2, the unit-shell cutoff."""
 
-    def bump(r):
+    def fn(x, xi):
+        _, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+        r = 2.0 * (np.abs(xi) - 1.0)
         out = np.zeros_like(r)
         inside = np.abs(r) < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
         return out
 
-    def fn(x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        vals = bump(2.0 * (np.abs(xi) - 1.0))
-        if n == 1:
-            return vals
-        return np.multiply.outer(vals, np.eye(n))
-
-    return Symbol(fn, n, label="shell cutoff")
+    return Symbol(fn, 1, label="shell cutoff")
 
 
 def suggest_modes(h: float) -> int:
@@ -253,23 +248,23 @@ def factorization_residual(field: DampingField, t: float, h: float,
         raise ValueError("the factorization check runs on the circle only")
     if not 0.0 < h <= 1.0:
         raise ValueError("need h in (0, 1]")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     P = 2 * suggest_modes(h)
     grid = CircleGrid(P, h)
     n = field.n
     k = np.fft.fftfreq(P, d=1.0 / P)
 
-    # component-major layout: each operator is n diagonal copies of its scalar
-    # Fourier multiplier (a circulant), and block (c, b) of the damping acts
-    # diagonally in x
+    # component-major layout: every operator except the damping and Op(s) is n
+    # diagonal copies of a scalar one (the Fourier multipliers are circulants);
+    # block (c, b) of the damping acts diagonally in x
     E_free = np.kron(np.eye(n), circulant(np.fft.ifft(np.exp(1j * t * h * k * k))))
     P_full = np.kron(np.eye(n), circulant(np.fft.ifft(h * h * k * k)))
-    a_vals = np.stack([field.at(xx) for xx in grid.x])  # (P, n, n)
-    for c in range(n):
-        for b in range(n):
-            P_full[c * P:(c + 1) * P, b * P:(b + 1) * P] += 2j * h * np.diag(a_vals[:, c, b])
+    i = np.arange(P)
+    P_full.reshape(n, P, n, P)[:, i, :, i] += 2j * h * field.at(grid.x[:, None])
     E_damped = expm((1j * t / h) * P_full)
 
-    Op_u = antiwick_build_circle(shell_cutoff_symbol(n), grid)
+    Op_u = np.kron(np.eye(n), antiwick_build_circle(shell_cutoff_symbol(), grid))
     Op_s = antiwick_build_circle(cocycle_symbol(field, t, dt=symbol_dt), grid)
     R = Op_u @ (E_damped - Op_s @ E_free)
     return float(np.linalg.norm(R, ord=2))

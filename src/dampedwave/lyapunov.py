@@ -189,6 +189,8 @@ def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,
                       dt: float = DEFAULT_DT,
                       renorm_every: int = DEFAULT_RENORM_EVERY) -> LyapunovSpectrum:
     """Ascending QR exponents of the cocycle at `point` over horizon T."""
+    if renorm_every is None:
+        raise ValueError("renorm_every must be a QR cadence >= 1, got None")
     s = _stream(field, [point], T, dt, renorm_every=renorm_every)
     exps = np.sort(s.qr_logs / T, axis=1)[0]
     return LyapunovSpectrum(tuple(float(v) for v in exps), T, point, s.rank_ok)
@@ -235,6 +237,8 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     """
     if m < 1:
         raise ValueError("need at least one sample")
+    if renorm_every is None:
+        raise ValueError("renorm_every must be a QR cadence >= 1, got None")
     points = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
     s = _stream(field, points, T, dt, _bound_orders(field.n), renorm_every)
     c_minus, c_plus = _c_rates(s.compounds, field.n, T)

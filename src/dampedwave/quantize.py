@@ -107,13 +107,9 @@ class Symbol:
         return self.fn(x, xi)
 
 
-def symbol_one(n: int = 1) -> Symbol:
-    if n == 1:
-        return Symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape), 1,
-                      mollified=lambda h: symbol_one(), label="1")
-    eye = np.eye(n)
-    return Symbol(lambda x, xi: np.multiply.outer(np.ones(np.broadcast(x, xi).shape), eye),
-                  n, mollified=lambda h: symbol_one(n), label="Id")
+def symbol_one() -> Symbol:
+    return Symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape), 1,
+                  mollified=lambda h: symbol_one(), label="1")
 
 
 def symbol_harmonic() -> Symbol:
@@ -341,15 +337,6 @@ class CircleGrid:
     @property
     def nyquist(self) -> float:
         return math.pi * self.h / self.dx  # = h * points / 2
-
-    @classmethod
-    def build(cls, h: float, xi_cover: float) -> "CircleGrid":
-        """Smallest even grid resolving sqrt(h)/4 whose Nyquist band covers
-        |xi| <= xi_cover plus Gaussian tails."""
-        p1 = 8.0 * math.pi / math.sqrt(h)
-        p2 = 2.0 * (xi_cover + TAIL_CUT * math.sqrt(h)) / h
-        points = int(math.ceil(max(p1, p2) / 2.0)) * 2
-        return cls(points, h)
 
 
 def _fold(a: np.ndarray, P: int) -> np.ndarray:

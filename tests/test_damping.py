@@ -51,6 +51,35 @@ def test_eval_matches_naive_sum():
         assert np.max(np.abs(H - ref)) < 1e-13
 
 
+def per_point_eval(field, x):
+    # the one-point form: phases k . x for one x of shape (d,)
+    ks, As = field.modes()
+    H = np.tensordot(np.exp(1j * ks @ np.atleast_1d(x)), As, axes=(0, 0))
+    return 0.5 * (H + H.conj().T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_at_matches_per_point_formula(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    f = random_field(n, 1, amplitude=0.8, seed=n + d, d=d)
+    for shape in ((13, d), (7, 5, d)):
+        xs = rng.uniform(-7.0, 7.0, size=shape)
+        H = f.at(xs)
+        assert H.shape == shape[:-1] + (n, n)
+        for idx in np.ndindex(shape[:-1]):
+            assert np.max(np.abs(H[idx] - per_point_eval(f, xs[idx]))) < 1e-14
+    if d == 1:
+        assert np.max(np.abs(f.at(2.5) - per_point_eval(f, 2.5))) < 1e-14
+
+
+def test_field_without_coefficients_evaluates_to_zeros():
+    f = DampingField(2, 1, {})
+    for x, shape in ((np.linspace(0.0, 6.0, 9)[:, None], (9, 2, 2)), (1.3, (2, 2))):
+        H = f.at(x)
+        assert H.shape == shape and not np.any(H)
+
+
 def test_extremal_bounds_constant():
     eb = extremal_bounds(DampingField.constant([[0.7]]))
     assert eb.a_minus == pytest.approx(0.7, abs=1e-12)

@@ -3,10 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 
 from dampedwave.damping import DampingField, extremal_bounds, one_plus_cos, random_field
 from dampedwave.cocycle import propagate
 from dampedwave.geometry import Manifold, PhasePoint
+from dampedwave import evolution
 from dampedwave.evolution import (
     WaveState,
     _energies,
@@ -16,10 +18,12 @@ from dampedwave.evolution import (
     energy_csv,
     evolve,
     factorization_residual,
+    shell_cutoff_symbol,
     single_mode_state,
     state_dump,
 )
 from dampedwave.geometry import mode_lattice
+from dampedwave.quantize import CircleGrid, Symbol, antiwick_build_circle
 from dampedwave.spectrum import assemble, multiplication_blocks
 
 CIRCLE = Manifold("circle", 1)
@@ -288,3 +292,42 @@ def test_factorization_rejections():
         factorization_residual(one_plus_cos(), t=1.0, h=2.0)
     with pytest.raises(ValueError):
         factorization_residual(DampingField.zero(1, 2), t=1.0, h=0.05)
+    for f in (one_plus_cos(), random_field(2, 1, 0.6, seed=3)):
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^t must be finite and >= 0"):
+                factorization_residual(f, t=t, h=0.15)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.06])
+def test_shell_cutoff_times_identity_is_the_matrix_symbol_build(h):
+    # the scalar cutoff quantized once and copied onto each component, against
+    # the quantization of the n x n symbol bump (x) I_2
+    grid = CircleGrid(2 * evolution.suggest_modes(h), h)
+    u = shell_cutoff_symbol()
+    ref = antiwick_build_circle(Symbol(lambda x, xi: np.multiply.outer(u(x, xi), np.eye(2)), 2),
+                                grid)
+    got = np.kron(np.eye(2), antiwick_build_circle(u, grid))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_damping_add_equals_block_loop(monkeypatch):
+    # the generator handed to expm, against the n^2 np.diag block loop over the
+    # same values of a
+    class Captured(Exception):
+        pass
+
+    def capture(M):
+        raise Captured(M)
+
+    f, t, h = random_field(2, 1, 0.6, seed=3), 0.1, 0.1
+    monkeypatch.setattr(evolution, "expm", capture)
+    with pytest.raises(Captured) as info:
+        factorization_residual(f, t=t, h=h)
+    P, n = 2 * evolution.suggest_modes(h), f.n
+    k = np.fft.fftfreq(P, d=1.0 / P)
+    ref = np.kron(np.eye(n), circulant(np.fft.ifft(h * h * k * k)))
+    a_vals = f.at(CircleGrid(P, h).x[:, None])
+    for c in range(n):
+        for b in range(n):
+            ref[c * P:(c + 1) * P, b * P:(b + 1) * P] += 2j * h * np.diag(a_vals[:, c, b])
+    assert np.array_equal(info.value.args[0], (1j * t / h) * ref)

@@ -356,11 +356,13 @@ def test_propagate_many_is_the_order_one_stream(field, dt):
 
 
 def test_zero_cadence_is_rejected():
+    # None is the stream's "no QR frame", which would read exponents of 0.0
     f = random_field(2, 1, amplitude=0.5, seed=3)
-    with pytest.raises(ValueError):
-        lyapunov_spectrum(f, POINT, 1.0, 1e-2, renorm_every=0)
-    with pytest.raises(ValueError):
-        band_estimates(f, T=1.0, m=2, dt=1e-2, renorm_every=0)
+    for cadence in (0, None):
+        with pytest.raises(ValueError):
+            lyapunov_spectrum(f, POINT, 1.0, 1e-2, renorm_every=cadence)
+        with pytest.raises(ValueError):
+            band_estimates(f, T=1.0, m=2, dt=1e-2, renorm_every=cadence)
 
 
 def test_rates_reject_nonpositive_horizon():

@@ -25,6 +25,7 @@ from dampedwave.quantize import (
     symbol_xi,
     weyl_build,
 )
+from dampedwave.evolution import suggest_modes
 
 H = 0.1
 L = 5.0
@@ -216,13 +217,13 @@ def test_aw_weyl_gap_is_order_h():
 
 
 def test_circle_antiwick_identity():
-    grid = CircleGrid.build(0.05, xi_cover=2.0)
+    grid = CircleGrid(2 * suggest_modes(0.05), 0.05)
     A = antiwick_build_circle(symbol_one(), grid)
     assert np.linalg.norm(A - np.eye(grid.points), ord=2) < 1e-6
 
 
 def test_circle_antiwick_matrix_blocks():
-    grid = CircleGrid.build(0.1, xi_cover=1.5)
+    grid = CircleGrid(2 * suggest_modes(0.1), 0.1)
 
     def mat(x, xi):
         m = np.zeros(np.broadcast(x, xi).shape + (2, 2), dtype=complex)
@@ -341,6 +342,6 @@ def test_circle_hermitian_symbol_gives_hermitian_operator():
         return m
 
     for h in (0.1, 0.06):
-        grid = CircleGrid.build(h, xi_cover=1.5)
+        grid = CircleGrid(2 * suggest_modes(h), h)
         A = antiwick_build_circle(Symbol(herm, 2), grid)
         assert np.linalg.norm(A - A.conj().T) < 1e-12 * np.linalg.norm(A)
