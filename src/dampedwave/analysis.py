@@ -19,6 +19,8 @@ from .spectrum import EDGE_TOL, SpectrumSet
 
 #: |Re tau| below this is treated as "on the imaginary axis"
 AXIS_TOL = 1e-7
+#: most Re-windows ``band_outliers`` tiles; each is one pass over the reliable set
+MAX_WINDOWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,10 @@ def band_outliers(spectrum: SpectrumSet, lambda_minus: float, lambda_plus: float
     hi = -lambda_minus + epsilon
     taus = spectrum.reliable()
     limit = spectrum.reliable_limit
+    count = (limit - EDGE_TOL) / window_width
+    if count > MAX_WINDOWS:
+        raise ValueError(f"window_width={window_width:g} tiles [0, {limit:g}] in {count:.3g} "
+                         f"windows, more than {MAX_WINDOWS}")
     windows = []
     start = 0.0
     while start < limit - EDGE_TOL:

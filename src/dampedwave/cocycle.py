@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -45,6 +46,8 @@ _DEFAULT_GROUP = 32
 #: target batch * frequencies * steps footprint of one chunk's phase table
 #: (80 000 steps of one start on the circle with K = 1)
 _CHUNK_BUDGET = 720_000
+#: largest coefficient box (8K + 1)^d, fixed: one step of one start fills the default budget
+_MAX_BOX = _CHUNK_BUDGET
 #: RK4 is stable for h*lambda in [-2.78, 0] on the negative real axis
 _RK4_REAL_LIMIT = 2.78
 #: bound on log cond of one window product: 2 * sum_k ||A_k||_2 * (window duration)
@@ -219,10 +222,14 @@ def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float
 
     Raises ValueError when ``step_reach`` reaches RK4's stability limit on
     the negative real axis, where the scheme can grow a mode that the ODE
-    damps.
+    damps, and when the coefficient box is above ``_MAX_BOX``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    box = (8 * field.K + 1) ** field.d  # exact: K may be past the float range
+    if box > _MAX_BOX:
+        raise ValueError(f"the damping band K={Decimal(field.K):.3g} on d={field.d} needs a "
+                         f"coefficient box (8K + 1)^d = {Decimal(box):.3g} above {_MAX_BOX}")
     starts = _check_starts(starts, field.d)
     B = len(starts)
     M, h = plan_steps(T, dt)

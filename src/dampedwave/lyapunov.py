@@ -5,24 +5,20 @@ Two families of rates are estimated from the same trajectories:
 * uniform bounds: c_minus = -(1/T) max log ||G_T||_2 and
   c_plus = -(1/T) min log sigma_min(G_T) over energy-shell samples, whose
   T -> infinity limits confine all but finitely many eigenfrequencies;
-* Lyapunov exponents via discrete QR (re-orthonormalize a propagated frame
-  once per group of ``renorm_every`` RK4 steps and average the log
-  diagonal), whose essential range over the shell gives the band that
-  carries the spectral density.
+* Lyapunov exponents via discrete QR (the log R-diagonals of G_T = QR over
+  T), whose essential range over the shell gives the band that carries the
+  spectral density.
 
-All of them read the record of one pass, ``_stream``, over the window
-transfer matrices (``cocycle.window_products``).  The pass maps each window
-factor to its i-th compounds C_i, folds them with ``cocycle._compose`` into
-scaled (units, logs) arrays whose norms come from ``cocycle.log_norm2``, and
-can run a QR frame along.  Its windows follow the one rule of
-``cocycle.propagate_many``: clamped to ``cocycle.safe_cadence``, with or
-without the frame.  The C bounds read orders 1, n - 1 and n, since
-log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; nothing is
-inverted.  The essential inf/sup are estimated by min/max over
-Monte-Carlo shell samples at finite horizon; half-horizon values are carried
-along as a convergence diagnostic.  Everything is sample-parallel and
-deterministic given the seed.  On a periodic orbit ``floquet_exponents``
-reads the exponents off one monodromy, with QR as its oracle.
+All of them read one pass, ``_stream``, over the compounds C_i of the window
+transfer matrices (``cocycle.window_products``), its windows clamped as in
+``cocycle.propagate_many``.  The C bounds read the norms of the folded
+C_1, C_{n-1} and C_n of G_T, since
+log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; the exponents
+read the folded first columns.  Nothing is inverted.  The essential inf/sup
+are min/max over Monte-Carlo shell samples at finite horizon; half-horizon
+values are carried along as a convergence diagnostic.  Everything is
+sample-parallel and deterministic given the seed.  On a periodic orbit
+``floquet_exponents`` reads the exponents off one monodromy.
 """
 
 from __future__ import annotations
@@ -32,8 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
-                      safe_cadence, window_products)
+from .cocycle import (_DEFAULT_GROUP, _compose, _scaled_reduce, log_norm2, plan_steps, safe_cadence,
+                      window_products)
 from .damping import DampingField
 from .geometry import PhasePoint, phase_array, sample_shell
 
@@ -56,7 +52,8 @@ class FiniteTimeBounds:
 
 @dataclass(frozen=True)
 class LyapunovSpectrum:
-    """QR-estimated exponents at horizon T, sorted ascending."""
+    """Discrete-QR exponents at horizon T, sorted ascending: the R-diagonals
+    of G_T = QR, read off the folded first columns of its compounds."""
 
     exponents: tuple
     T: float
@@ -90,14 +87,13 @@ def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
 @dataclass(frozen=True)
 class _Stream:
     """One ``_stream`` pass: ``compounds[i]`` is the (units, logs) batch of
-    C_i(G_T); ``qr_logs`` (B, n) sums the frame's log R-diagonals, and
-    ``half_logs`` is that sum at ``half_time`` (zeros and T without a frame);
-    ``window`` is the cadence that ran; ``rank_ok`` is False after a zero
-    R-diagonal."""
+    C_i(G_T); ``diag_logs`` (B, n) sums the log R-diagonals of G_T = QR, and
+    ``diag_half`` is that sum at ``half_time`` (zeros and T without a
+    cadence); ``rank_ok`` is False after a zero column volume."""
 
     compounds: dict
-    qr_logs: np.ndarray
-    half_logs: np.ndarray
+    diag_logs: np.ndarray
+    diag_half: np.ndarray
     half_time: float
     window: int
     rank_ok: bool
@@ -105,53 +101,55 @@ class _Stream:
 
 def _stream(field: DampingField, points: list[PhasePoint], T: float, dt: float,
             orders=(), renorm_every: int | None = None) -> _Stream:
-    """One pass over the transfer-matrix stream: compound products and a QR frame.
+    """One pass over the transfer-matrix stream: compound products and R-diagonals.
 
     For each i in ``orders`` the compounds of the window factors are folded
-    into C_i(G_T) (C_i(AB) = C_i(A) C_i(B)); their norms give every
-    singular-value rate without inverting anything.  Windows are
-    ``renorm_every`` steps, or ``_DEFAULT_GROUP`` when it is None, clamped to
-    ``safe_cadence`` either way, as in ``cocycle.propagate_many``.  Only when
-    ``renorm_every`` is given does a QR-orthonormalized frame run along, one
-    product and one QR per window; the R diagonals of a chunk are logged and
-    summed once, and the half-horizon snapshot is the running sum at the
-    first window end at or after T/2.  In exact arithmetic nothing read here
-    depends on the window length; the clamp keeps rounding from making it so.
+    into C_i(G_T) (C_i(AB) = C_i(A) C_i(B)).  Windows are ``renorm_every``
+    steps, or ``_DEFAULT_GROUP`` when it is None, clamped to ``safe_cadence``
+    either way, as in ``cocycle.propagate_many``.  A given ``renorm_every``
+    also reads the R-diagonals of G_T = QR: |R_11 ... R_ii| is the norm of
+    C_i(G_T) e_1 (``combinations`` lists (0, ..., i - 1) first), folded one
+    window at a time at unit norm, since a product has one scale and its
+    first column can fall e^{-gap T} below it.  The half-horizon snapshot is
+    the running sum at the first window end at or after T/2.  In exact
+    arithmetic nothing here depends on the window length; the clamp keeps
+    rounding from making it so.
     """
     if not T > 0:
         raise ValueError(f"horizon T={T} must be positive")
     B, n = len(points), field.n
     M, h = plan_steps(T, dt)
     window = min(_DEFAULT_GROUP if renorm_every is None else renorm_every, safe_cadence(field, h))
-    combos = {i: list(itertools.combinations(range(n), i)) for i in orders}
-    acc = {i: (np.eye(len(c), dtype=complex), np.zeros(B)) for i, c in combos.items()}
-    Q = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
-    qr_logs = np.zeros((B, n))
-    half_logs, half_time, steps, rank_ok = None, T, 0, True
+    combos = {i: list(itertools.combinations(range(n), i)) for i in range(1, n + 1)}
+    acc = {i: (np.eye(len(combos[i]), dtype=complex), np.zeros(B)) for i in orders}
+    cols = {} if renorm_every is None else {
+        i: np.repeat(np.eye(1, len(c), dtype=complex), B, axis=0) for i, c in combos.items()}
+    diag_logs = np.zeros((B, n))
+    diag_half, half_time, steps, rank_ok = None, T, 0, True
     for W in window_products(field, phase_array(points), T, dt, window=window):
-        acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
-               for i, c in combos.items()}
+        comps = {i: _compound_batch(W, combos[i]) for i in {*orders, *cols}}
+        acc = {i: _compose(*_scaled_reduce(comps[i]), *acc[i]) for i in orders}
         if renorm_every is None:
             continue
         k = W.shape[1]
-        diag = np.empty((k, B, n), dtype=complex)
-        for i in range(k):
-            Q, R = np.linalg.qr(_mm(W[:, i], Q))
-            diag[i] = np.einsum("bii->bi", R)
-        diag = np.abs(diag)
-        if np.any(diag == 0.0):
-            rank_ok = False
-            diag = np.maximum(diag, 1e-300)
-        # sequential sums from the running total, as one window at a time
-        cums = np.cumsum(np.concatenate([qr_logs[None], np.log(diag)]), axis=0)
-        qr_logs = cums[-1]
+        vols = np.empty((k, B, n))
+        for j in range(k):
+            for i, v in cols.items():
+                v = np.einsum("bij,bj->bi", comps[i][:, j], v)
+                vols[j, :, i - 1] = np.linalg.norm(v, axis=-1)
+                cols[i] = v / np.maximum(vols[j, :, i - 1, None], 1e-300)
+        rank_ok &= bool(np.all(vols > 0.0))
+        # log |R_ii| = log vol_i - log vol_{i-1}; sequential sums from the running total
+        logs = np.diff(np.log(np.maximum(vols, 1e-300)), axis=2, prepend=0.0)
+        cums = np.cumsum(np.concatenate([diag_logs[None], logs]), axis=0)
+        diag_logs = cums[-1]
         ends = np.minimum(steps + window * np.arange(1, k + 1), M)
         steps = ends[-1]
         hit = np.flatnonzero(ends * h >= 0.5 * T)
-        if half_logs is None and hit.size:
-            half_logs, half_time = cums[hit[0] + 1], float(ends[hit[0]] * h)
-    return _Stream(acc, qr_logs, qr_logs if half_logs is None else half_logs, half_time, window,
-                   rank_ok)
+        if diag_half is None and hit.size:
+            diag_half, half_time = cums[hit[0] + 1], float(ends[hit[0]] * h)
+    return _Stream(acc, diag_logs, diag_logs if diag_half is None else diag_half, half_time,
+                   window, rank_ok)
 
 
 def _bound_orders(n: int) -> list:
@@ -185,14 +183,13 @@ def finite_time_bounds(field: DampingField, T: float, points: list[PhasePoint],
     return FiniteTimeBounds(T, *_c_rates(s.compounds, field.n, T), len(points))
 
 
-def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float,
-                      dt: float = DEFAULT_DT,
+def lyapunov_spectrum(field: DampingField, point: PhasePoint, T: float, dt: float = DEFAULT_DT,
                       renorm_every: int = DEFAULT_RENORM_EVERY) -> LyapunovSpectrum:
-    """Ascending QR exponents of the cocycle at `point` over horizon T."""
+    """Ascending discrete-QR exponents of the cocycle at `point` over horizon T."""
     if renorm_every is None:
-        raise ValueError("renorm_every must be a QR cadence >= 1, got None")
+        raise ValueError("renorm_every must be a window of >= 1 steps, got None")
     s = _stream(field, [point], T, dt, renorm_every=renorm_every)
-    exps = np.sort(s.qr_logs / T, axis=1)[0]
+    exps = np.sort(s.diag_logs / T, axis=1)[0]
     return LyapunovSpectrum(tuple(float(v) for v in exps), T, point, s.rank_ok)
 
 
@@ -233,17 +230,17 @@ def band_estimates(field: DampingField, T: float = DEFAULT_HORIZON, m: int = DEF
     c_minus <= -lambda_plus <= -lambda_minus <= c_plus meaningful without
     sampling noise between the two estimates.  The diagnostics name the
     shell samples (indices into ``sample_shell(m, SHELL_ENERGY, d, seed)``)
-    that attain lambda_minus and lambda_plus, and the QR cadence that ran.
+    that attain lambda_minus and lambda_plus, and the window that ran.
     """
     if m < 1:
         raise ValueError("need at least one sample")
     if renorm_every is None:
-        raise ValueError("renorm_every must be a QR cadence >= 1, got None")
+        raise ValueError("renorm_every must be a window of >= 1 steps, got None")
     points = sample_shell(m, SHELL_ENERGY, d=field.d, seed=seed)
     s = _stream(field, points, T, dt, _bound_orders(field.n), renorm_every)
     c_minus, c_plus = _c_rates(s.compounds, field.n, T)
-    exps = np.sort(s.qr_logs / T, axis=1)
-    exps_half = np.sort(s.half_logs / s.half_time, axis=1)
+    exps = np.sort(s.diag_logs / T, axis=1)
+    exps_half = np.sort(s.diag_half / s.half_time, axis=1)
     lo, hi = int(np.argmin(exps[:, 0])), int(np.argmax(exps[:, -1]))
     lam_minus, lam_plus = float(exps[lo, 0]), float(exps[hi, -1])
     diagnostics = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dampedwave.analysis import (
+    MAX_WINDOWS,
     band_outliers,
     cluster_histogram,
     counting,
@@ -101,6 +102,15 @@ def test_band_outliers_decay_signature(spec_cos):
     half = len(outl) // 2
     assert np.mean(outl[half:]) <= 0.5 * np.mean(outl[:half]) + 1e-12
     assert all(o == 0 for o in outl[-5:])
+
+
+def test_band_outliers_rejects_a_width_with_too_many_windows(spec_cos):
+    # at 1e-300 the tiling loop adds 1e-300 per window and never returns
+    limit = spec_cos.reliable_limit
+    for width in (1e-300, 5e-324, limit / (MAX_WINDOWS + 10)):
+        with pytest.raises(ValueError, match=r"window_width=.* windows, more than 100000"):
+            band_outliers(spec_cos, -1.0, -1.0, epsilon=0.1, window_width=width)
+    assert len(band_outliers(spec_cos, -1.0, -1.0, 0.1, window_width=limit / 1000).windows) == 1000
 
 
 def test_band_widening_monotone(spec_cos):

@@ -381,6 +381,30 @@ def test_field_with_bad_frequency_or_coefficient_is_diagnosed(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_bands_rejects_a_window_width_with_too_many_windows(tmp_path, capsys):
+    # 1e-300 would tile the reliable range in about 1e301 windows
+    cfg = {"damping": {"generator": {"n": 2, "K": 1, "seed": 1}}, "solver": {"N": 4},
+           "lyapunov": {"dt": 0.01}, "analysis": {"window_width": 1e-300},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["bands", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window_width=1e-300") and "more than 100000" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", [1e300, 1.5e308])
+def test_lyapunov_names_an_astronomical_band(tmp_path, capsys, k):
+    # the coefficient box (8K + 1)^d is checked before any array is built
+    coeffs = [{"k": [0], "re": [[1.0]], "im": [[0.0]]}, {"k": [k], "re": [[0.25]], "im": [[0.0]]},
+              {"k": [-k], "re": [[0.25]], "im": [[0.0]]}]
+    cfg = {"damping": {"field": {"n": 1, "d": 1, "coeffs": coeffs}},
+           "lyapunov": {"T": 1.0, "dt": 0.01}, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the damping band") and f"K={k:.2e} on d=1" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, base, section, key, value", [
     ("quantize-check", QUANTIZE, "quantize", "h", 0),
     ("quantize-check", QUANTIZE, "quantize", "h", -0.1),

@@ -273,3 +273,12 @@ def test_window_products_take_one_start_array():
         next(window_products(f, np.zeros((2, 2, 2)), 1.0, 1e-2))
     with pytest.raises(TypeError):
         next(window_products(f, [SHELL_POINT], 1.0, 1e-2))
+
+
+def test_window_products_rejects_a_box_past_the_budget():
+    # T^2 with K = 300: (8K + 1)^2 = 5 764 801 coefficients per step, above
+    # what one chunk holds; the arrays would be built before anything is checked
+    A = 0.1 * np.eye(2, dtype=complex)
+    f = DampingField(2, 2, {(0, 0): np.eye(2, dtype=complex), (300, 0): A, (-300, 0): A})
+    with pytest.raises(ValueError, match=r"K=300 on d=2 .* = 5\.76e\+6 above 720000"):
+        next(window_products(f, phase_array(sample_shell(1, 0.5, d=2, seed=0)), 1.0, 1e-2))

@@ -72,6 +72,19 @@ def test_spectrum_constant_diagonal():
     assert sp.rank_ok
 
 
+@pytest.mark.parametrize("T", [175.0, 200.0])
+def test_exponents_of_a_split_field_with_the_faster_coordinate_first(T):
+    # the first column of G_T falls e^{-4T} below its second, past the float
+    # range, so it must be folded at its own scale and not read off one product
+    f = DampingField.constant(np.diag([5.0, 1.0]))
+    sp = lyapunov_spectrum(f, POINT, T, dt=1e-2)
+    assert np.max(np.abs(np.array(sp.exponents) - [-5.0, -1.0])) < 1e-6
+    assert sp.rank_ok
+    est = band_estimates(DampingField.constant(np.diag([5.0, 1.0]), d=2), T=T, m=2, dt=1e-2)
+    assert abs(est.lambda_minus + 5.0) < 1e-6 and abs(est.lambda_plus + 1.0) < 1e-6
+    assert est.diagnostics["rank_ok"]
+
+
 def test_spectrum_scalar_birkhoff_mean():
     T = 60.0
     sp = lyapunov_spectrum(one_plus_cos(), POINT, T, dt=1e-3)
@@ -248,8 +261,8 @@ def stream_rates(field, points, T, dt, renorm_every):
     return {
         "top": top / T,
         "bottom": bottom / T,
-        "exponents": np.sort(s.qr_logs / T, axis=1),
-        "half": np.sort(s.half_logs / s.half_time, axis=1),
+        "exponents": np.sort(s.diag_logs / T, axis=1),
+        "half": np.sort(s.diag_half / s.half_time, axis=1),
         "half_time": np.full(len(points), s.half_time),
     }
 
@@ -293,7 +306,7 @@ def test_stream_stats_do_not_depend_on_budget_batching_or_order(n, seed, m, T, d
 @given(n=st.integers(1, 3), seed=st.integers(0, 1000), m=st.integers(1, 3),
        T=st.floats(0.05, 5.0), dt=st.sampled_from([1e-2, 4e-3]))
 def test_stream_stats_do_not_depend_on_cadence(n, seed, m, T, dt):
-    # the R factors of successive QRs multiply, so the cadence is a numerical knob only
+    # the compounds of successive windows multiply, so the cadence is a numerical knob only
     f = random_field(n, 1, amplitude=0.8, seed=seed)
     pts = sample_shell(m, 0.5, seed=seed)
     ref = stream_rates(f, pts, T, dt, 1)
@@ -315,7 +328,7 @@ def stiff_coupled_field():
 
 def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
     # 250 steps of h = 5e-3 on this field form a product with log-condition
-    # near 2 * 300 * 1.25; its small direction is lost before the QR sees it
+    # near 2 * 300 * 1.25; its small direction is lost before the fold sees it
     f = stiff_coupled_field()
     assert safe_cadence(f, 5e-3) == 5 == math.floor(9.0 / (5e-3 * 300.5))
     small = [lyapunov_spectrum(f, POINT, 20.0, 5e-3, r).exponents[0] for r in (10, 10**6)]
@@ -325,17 +338,17 @@ def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
         est = band_estimates(f, T=1.0, m=2, dt=5e-3, seed=0, **kw)
         assert est.diagnostics["renorm_every"] == ran
         if r is None:
-            c_plus_qr = est.c_plus
-    # the folds without a QR frame are clamped too: the order-2 compound
+            c_plus_cadence = est.c_plus
+    # the folds without a cadence are clamped too: the order-2 compound
     # rate is the mean log |det| of the step matrices, the C bound does not
-    # depend on whether the QR runs, and the Floquet exponents are those of
-    # one-step windows
+    # depend on whether a cadence is given, and the Floquet exponents are
+    # those of one-step windows
     steps = np.concatenate(list(window_products(f, phase_array([POINT]), 20.0, 5e-3, window=1)),
                            axis=1)[0]
     log_det = np.sum(np.log(np.abs(np.linalg.det(steps)))) / 20.0
     assert abs(exterior_sums(f, POINT, 20.0, 5e-3, 2) - log_det) < 1e-9
     assert abs(finite_time_bounds(f, 1.0, sample_shell(2, 0.5, seed=0), 5e-3).c_plus
-               - c_plus_qr) < 1e-9
+               - c_plus_cadence) < 1e-9
     floquet = floquet_exponents(f, ORBITS, PERIOD, 5e-3)
     monkeypatch.setattr(lyapunov, "_DEFAULT_GROUP", 1)
     assert np.max(np.abs(floquet_exponents(f, ORBITS, PERIOD, 5e-3) - floquet)) < 1e-9
@@ -355,8 +368,47 @@ def test_propagate_many_is_the_order_one_stream(field, dt):
     assert np.array_equal(units, ref_units) and np.array_equal(logs, ref_logs)
 
 
+def qr_frame(field, points, T, dt, cadence):
+    # the discrete-QR oracle: a frame propagated by one product and one QR
+    # per window of the clamped cadence, its log R-diagonals summed, with the
+    # half-horizon snapshot at the first window end at or after T/2
+    M, h = plan_steps(T, dt)
+    window = min(cadence, safe_cadence(field, h))
+    n = field.n
+    Q = np.broadcast_to(np.eye(n, dtype=complex), (len(points), n, n)).copy()
+    logs, half, steps = np.zeros((len(points), n)), None, 0
+    for W in window_products(field, phase_array(points), T, dt, window=window):
+        for i in range(W.shape[1]):
+            Q, R = np.linalg.qr(W[:, i] @ Q)
+            logs = logs + np.log(np.abs(np.einsum("bii->bi", R)))
+            steps = min(steps + window, M)
+            if half is None and steps * h >= 0.5 * T:
+                half = (logs, steps * h)
+    return np.sort(logs / T, axis=1), np.sort(half[0] / half[1], axis=1), half[1]
+
+
+QR_CASES = [pytest.param(random_field(n, 1, 0.8, seed=s, d=d), d, T, dt, cadence,
+                         id=f"n{n}_d{d}_seed{s}_T{T:g}_every{cadence}")
+            for n in range(1, 5) for d in (1, 2) for s in (1, 7)
+            for T, dt, cadence in ((5.0, 4e-3, 250), (3.0, 1e-2, 7))]
+QR_CASES.append(pytest.param(stiff_coupled_field(), 1, 20.0, 5e-3, DEFAULT_RENORM_EVERY,
+                             id="stiff"))
+
+
+@pytest.mark.parametrize("field, d, T, dt, cadence", QR_CASES)
+def test_exponents_match_the_qr_frame(field, d, T, dt, cadence):
+    # the folded first columns of the compounds hold the frame's R-diagonals
+    pts = sample_shell(3, 0.5, d=d, seed=11)
+    exps, half, half_time = qr_frame(field, pts, T, dt, cadence)
+    got = stream_rates(field, pts, T, dt, cadence)
+    assert np.max(np.abs(got["exponents"] - exps)) < 1e-12
+    assert np.max(np.abs(got["half"] - half)) < 1e-12
+    assert got["half_time"][0] == half_time
+
+
 def test_zero_cadence_is_rejected():
-    # None is the stream's "no QR frame", which would read exponents of 0.0
+    # None is the stream's "no R-diagonals", which would read exponents of 0.0;
+    # a cadence is a window of >= 1 steps
     f = random_field(2, 1, amplitude=0.5, seed=3)
     for cadence in (0, None):
         with pytest.raises(ValueError):
