@@ -180,6 +180,8 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
         raise ValueError(f"horizon T={T} must be finite and >= 0")
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"step dt={dt} must be positive and finite")
+    if not T / dt <= 2.0**53:  # step times h * index are exact in float64 only up to 2**53
+        raise ValueError(f"horizon T={T:g} at step dt={dt:g} needs {T / dt:.3g} steps, above 2**53")
     M = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
     return M, (T / M if M else dt)
 

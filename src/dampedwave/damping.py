@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 
 import numpy as np
 
@@ -71,6 +73,9 @@ class DampingField:
                        isinstance(c, numbers.Real) and float(c).is_integer()) for c in k):
                 raise ValueError(f"frequency {k} is not a tuple of integers")
             k = tuple(int(c) for c in k)
+            big = max(k, key=abs)
+            if abs(big) > sys.float_info.max:
+                raise ValueError(f"frequency component {Decimal(big):.3g} is beyond the float range")
             if k in clean:
                 raise ValueError(f"frequency {k} is repeated")
             A = np.asarray(A, dtype=complex)

@@ -9,12 +9,12 @@ Two families of rates are estimated from the same trajectories:
   T), whose essential range over the shell gives the band that carries the
   spectral density.
 
-All of them read one pass, ``_stream``, over the compounds C_i of the window
-transfer matrices (``cocycle.window_products``), its windows clamped as in
+All of them read one pass, ``_stream``, over the window transfer matrices
+(``cocycle.window_products``), its windows clamped as in
 ``cocycle.propagate_many``.  The C bounds read the norms of the folded
-C_1, C_{n-1} and C_n of G_T, since
+compounds C_1, C_{n-1} and C_n of G_T, since
 log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; the exponents
-read the folded first columns.  Nothing is inverted.  The essential inf/sup
+read one QR frame per window.  Nothing is inverted.  The essential inf/sup
 are min/max over Monte-Carlo shell samples at finite horizon; half-horizon
 values are carried along as a convergence diagnostic.  Everything is
 sample-parallel and deterministic given the seed.  On a periodic orbit
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cocycle import (_DEFAULT_GROUP, _compose, _scaled_reduce, log_norm2, plan_steps, safe_cadence,
-                      window_products)
+from .cocycle import (_DEFAULT_GROUP, _compose, _mm, _scaled_reduce, log_norm2, plan_steps,
+                      safe_cadence, window_products)
 from .damping import DampingField
 from .geometry import PhasePoint, phase_array, sample_shell
 
@@ -52,8 +52,8 @@ class FiniteTimeBounds:
 
 @dataclass(frozen=True)
 class LyapunovSpectrum:
-    """Discrete-QR exponents at horizon T, sorted ascending: the R-diagonals
-    of G_T = QR, read off the folded first columns of its compounds."""
+    """Discrete-QR exponents at horizon T, sorted ascending: the summed log
+    R-diagonals of one QR frame per window, over T."""
 
     exponents: tuple
     T: float
@@ -87,9 +87,9 @@ def _compound_batch(A: np.ndarray, combos: list) -> np.ndarray:
 @dataclass(frozen=True)
 class _Stream:
     """One ``_stream`` pass: ``compounds[i]`` is the (units, logs) batch of
-    C_i(G_T); ``diag_logs`` (B, n) sums the log R-diagonals of G_T = QR, and
-    ``diag_half`` is that sum at ``half_time`` (zeros and T without a
-    cadence); ``rank_ok`` is False after a zero column volume."""
+    C_i(G_T); ``diag_logs`` (B, n) sums the log R-diagonals of one QR frame
+    per window, and ``diag_half`` is that sum at ``half_time`` (zeros and T
+    without a cadence); ``rank_ok`` is False after a zero R-diagonal."""
 
     compounds: dict
     diag_logs: np.ndarray
@@ -101,47 +101,40 @@ class _Stream:
 
 def _stream(field: DampingField, points: list[PhasePoint], T: float, dt: float,
             orders=(), renorm_every: int | None = None) -> _Stream:
-    """One pass over the transfer-matrix stream: compound products and R-diagonals.
+    """One pass over the transfer-matrix stream: compound products and a QR frame.
 
     For each i in ``orders`` the compounds of the window factors are folded
     into C_i(G_T) (C_i(AB) = C_i(A) C_i(B)).  Windows are ``renorm_every``
     steps, or ``_DEFAULT_GROUP`` when it is None, clamped to ``safe_cadence``
     either way, as in ``cocycle.propagate_many``.  A given ``renorm_every``
-    also reads the R-diagonals of G_T = QR: |R_11 ... R_ii| is the norm of
-    C_i(G_T) e_1 (``combinations`` lists (0, ..., i - 1) first), folded one
-    window at a time at unit norm, since a product has one scale and its
-    first column can fall e^{-gap T} below it.  The half-horizon snapshot is
-    the running sum at the first window end at or after T/2.  In exact
-    arithmetic nothing here depends on the window length; the clamp keeps
-    rounding from making it so.
+    also carries an orthonormal frame through the windows, one product and
+    one QR each, whose log R-diagonals sum to those of G_T = QR.  The
+    half-horizon snapshot is the running sum at the first window end at or
+    after T/2.  In exact arithmetic nothing here depends on the window
+    length; the clamp keeps rounding from making it so.
     """
     if not T > 0:
         raise ValueError(f"horizon T={T} must be positive")
     B, n = len(points), field.n
     M, h = plan_steps(T, dt)
     window = min(_DEFAULT_GROUP if renorm_every is None else renorm_every, safe_cadence(field, h))
-    combos = {i: list(itertools.combinations(range(n), i)) for i in range(1, n + 1)}
-    acc = {i: (np.eye(len(combos[i]), dtype=complex), np.zeros(B)) for i in orders}
-    cols = {} if renorm_every is None else {
-        i: np.repeat(np.eye(1, len(c), dtype=complex), B, axis=0) for i, c in combos.items()}
-    diag_logs = np.zeros((B, n))
-    diag_half, half_time, steps, rank_ok = None, T, 0, True
+    combos = {i: list(itertools.combinations(range(n), i)) for i in orders}
+    acc = {i: (np.eye(len(c), dtype=complex), np.zeros(B)) for i, c in combos.items()}
+    Q = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
+    diag_logs, diag_half, half_time, steps, rank_ok = np.zeros((B, n)), None, T, 0, True
     for W in window_products(field, phase_array(points), T, dt, window=window):
-        comps = {i: _compound_batch(W, combos[i]) for i in {*orders, *cols}}
-        acc = {i: _compose(*_scaled_reduce(comps[i]), *acc[i]) for i in orders}
+        acc = {i: _compose(*_scaled_reduce(_compound_batch(W, c)), *acc[i])
+               for i, c in combos.items()}
         if renorm_every is None:
             continue
         k = W.shape[1]
-        vols = np.empty((k, B, n))
+        diag = np.empty((k, B, n))
         for j in range(k):
-            for i, v in cols.items():
-                v = np.einsum("bij,bj->bi", comps[i][:, j], v)
-                vols[j, :, i - 1] = np.linalg.norm(v, axis=-1)
-                cols[i] = v / np.maximum(vols[j, :, i - 1, None], 1e-300)
-        rank_ok &= bool(np.all(vols > 0.0))
-        # log |R_ii| = log vol_i - log vol_{i-1}; sequential sums from the running total
-        logs = np.diff(np.log(np.maximum(vols, 1e-300)), axis=2, prepend=0.0)
-        cums = np.cumsum(np.concatenate([diag_logs[None], logs]), axis=0)
+            Q, R = np.linalg.qr(_mm(W[:, j], Q))
+            diag[j] = np.abs(np.einsum("bii->bi", R))
+        rank_ok &= bool(np.all(diag > 0.0))
+        # sequential sums from the running total, as one window at a time
+        cums = np.cumsum([diag_logs, *np.log(np.maximum(diag, 1e-300))], axis=0)
         diag_logs = cums[-1]
         ends = np.minimum(steps + window * np.arange(1, k + 1), M)
         steps = ends[-1]

@@ -405,6 +405,21 @@ def test_lyapunov_names_an_astronomical_band(tmp_path, capsys, k):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["lyapunov", "spectrum"])
+def test_a_frequency_past_the_float_range_is_diagnosed(tmp_path, capsys, command):
+    # k = 10^400 written as a JSON integer used to reach the float mode table
+    coeffs = [{"k": [0], "re": [[1.0]], "im": [[0.0]]},
+              {"k": [10**400], "re": [[0.25]], "im": [[0.0]]},
+              {"k": [-(10**400)], "re": [[0.25]], "im": [[0.0]]}]
+    cfg = {"damping": {"field": {"n": 1, "d": 1, "coeffs": coeffs}},
+           "lyapunov": {"T": 1.0, "dt": 0.01}, "solver": {"N": 8},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config damping.field: frequency component 1.00e+400 is beyond")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, base, section, key, value", [
     ("quantize-check", QUANTIZE, "quantize", "h", 0),
     ("quantize-check", QUANTIZE, "quantize", "h", -0.1),
@@ -429,6 +444,21 @@ EVOLUTION = {
     "damping": {"generator": {"n": 1, "K": 1, "amplitude": 0.5, "seed": 2}},
     "evolution": {"N": 4, "T": 0.01, "dt": 1e-3, "stride": 2, "mode": 1},
 }
+@pytest.mark.parametrize("T", [1e300, 1e308])
+@pytest.mark.parametrize("command, base, section", [("lyapunov", TORUS, "lyapunov"),
+                                                    ("decay", EVOLUTION, "evolution")],
+                         ids=["torus_lyapunov", "circle_decay"])
+def test_a_horizon_past_float64_step_indices_is_diagnosed(tmp_path, capsys, command, base,
+                                                          section, T):
+    # ceil(T / dt) past 2**53 used to overflow in plan_steps or in the stream
+    cfg = json.loads(json.dumps(dict(base, output={"dir": str(tmp_path / "out")})))
+    cfg[section]["T"] = T
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: horizon T={T:g} at step dt=") and "above 2**53" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 COUNT_KEYS = [("spectrum", CONSTANT, "manifold", "d"),
               ("spectrum", TORUS, "damping.generator", "n"),
               ("spectrum", TORUS, "damping.generator", "K"),

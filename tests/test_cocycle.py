@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ def test_propagate_rejects_bad_steps():
         propagate(f, SHELL_POINT, -1.0, 1e-3)
     with pytest.raises(ValueError):
         propagate(f, SHELL_POINT, math.nan, 1e-3)
+
+
+@pytest.mark.parametrize("T, dt, count", [(1e308, 1e-3, "inf"), (1e300, 1e-2, "1e+302"),
+                                          (2.0**53 + 2.0, 1.0, "9.01e+15")])
+def test_plan_steps_rejects_a_step_count_past_float64_indices(T, dt, count):
+    # step times are h times an index, exact in float64 only up to 2**53
+    with pytest.raises(ValueError, match=rf"^horizon T=.* at step dt=.* needs {re.escape(count)} steps"):
+        cocycle.plan_steps(T, dt)
+    assert cocycle.plan_steps(2.0**53, 1.0) == (2**53, 1.0)
 
 
 def expanded_rk4_steps(A_half, h):

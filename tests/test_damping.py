@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,14 @@ ONE = np.array([[1.0 + 0j]])
 def test_construction_rejects_bad_frequencies_and_coefficients(coeffs, word):
     with pytest.raises(ValueError, match=word):
         DampingField(1, 1, coeffs)
+
+
+@pytest.mark.parametrize("k, shown", [(10**400, "1.00e+400"), (-(10**309), "-1.00e+309")],
+                         ids=["1e400", "-1e309"])
+def test_construction_rejects_a_frequency_past_the_float_range(k, shown):
+    # the mode table is float, so such a field would fail on first use
+    with pytest.raises(ValueError, match=rf"^frequency component {re.escape(shown)} is beyond"):
+        DampingField(1, 2, {(0, 0): ONE, (1, k): ONE, (-1, -k): ONE})
 
 
 def test_from_json_rejects_a_repeated_frequency():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -368,19 +369,28 @@ def test_propagate_many_is_the_order_one_stream(field, dt):
     assert np.array_equal(units, ref_units) and np.array_equal(logs, ref_logs)
 
 
-def qr_frame(field, points, T, dt, cadence):
-    # the discrete-QR oracle: a frame propagated by one product and one QR
-    # per window of the clamped cadence, its log R-diagonals summed, with the
-    # half-horizon snapshot at the first window end at or after T/2
+def compound_columns(field, points, T, dt, cadence):
+    # the minors oracle: |R_11 ... R_ii| of G_T = QR is the norm of the first
+    # column of C_i(G_T) (combinations list (0, ..., i - 1) first).  Each
+    # order's column is folded through the window compounds of the clamped
+    # cadence at its own unit norm, since on diag(5, 1) G_T e_1 falls e^{-4T}
+    # below G_T e_2; log |R_ii| = log vol_i - log vol_{i-1}, and the half
+    # snapshot is at the first window end at or after T/2
     M, h = plan_steps(T, dt)
     window = min(cadence, safe_cadence(field, h))
-    n = field.n
-    Q = np.broadcast_to(np.eye(n, dtype=complex), (len(points), n, n)).copy()
-    logs, half, steps = np.zeros((len(points), n)), None, 0
+    n, B = field.n, len(points)
+    combos = [list(itertools.combinations(range(n), i)) for i in range(1, n + 1)]
+    cols = [np.repeat(np.eye(1, len(c), dtype=complex), B, axis=0) for c in combos]
+    logs, half, steps = np.zeros((B, n)), None, 0
     for W in window_products(field, phase_array(points), T, dt, window=window):
-        for i in range(W.shape[1]):
-            Q, R = np.linalg.qr(W[:, i] @ Q)
-            logs = logs + np.log(np.abs(np.einsum("bii->bi", R)))
+        comps = [lyapunov._compound_batch(W, c) for c in combos]
+        for j in range(W.shape[1]):
+            vols = np.empty((B, n))
+            for i, C in enumerate(comps):
+                v = np.einsum("bij,bj->bi", C[:, j], cols[i])
+                vols[:, i] = np.linalg.norm(v, axis=-1)
+                cols[i] = v / vols[:, i, None]
+            logs = logs + np.diff(np.log(vols), axis=1, prepend=0.0)
             steps = min(steps + window, M)
             if half is None and steps * h >= 0.5 * T:
                 half = (logs, steps * h)
@@ -389,7 +399,7 @@ def qr_frame(field, points, T, dt, cadence):
 
 QR_CASES = [pytest.param(random_field(n, 1, 0.8, seed=s, d=d), d, T, dt, cadence,
                          id=f"n{n}_d{d}_seed{s}_T{T:g}_every{cadence}")
-            for n in range(1, 5) for d in (1, 2) for s in (1, 7)
+            for n in range(1, 7) for d in (1, 2) for s in (1, 7)
             for T, dt, cadence in ((5.0, 4e-3, 250), (3.0, 1e-2, 7))]
 QR_CASES.append(pytest.param(stiff_coupled_field(), 1, 20.0, 5e-3, DEFAULT_RENORM_EVERY,
                              id="stiff"))
@@ -397,13 +407,35 @@ QR_CASES.append(pytest.param(stiff_coupled_field(), 1, 20.0, 5e-3, DEFAULT_RENOR
 
 @pytest.mark.parametrize("field, d, T, dt, cadence", QR_CASES)
 def test_exponents_match_the_qr_frame(field, d, T, dt, cadence):
-    # the folded first columns of the compounds hold the frame's R-diagonals
+    # the QR frame's R-diagonals against the compound minors, an algorithm
+    # that shares no Householder step with it
     pts = sample_shell(3, 0.5, d=d, seed=11)
-    exps, half, half_time = qr_frame(field, pts, T, dt, cadence)
+    exps, half, half_time = compound_columns(field, pts, T, dt, cadence)
     got = stream_rates(field, pts, T, dt, cadence)
     assert np.max(np.abs(got["exponents"] - exps)) < 1e-12
     assert np.max(np.abs(got["half"] - half)) < 1e-12
     assert got["half_time"][0] == half_time
+
+
+def test_readers_build_only_the_compounds_they_read(monkeypatch):
+    # the exponents come from the QR frame, so no reader pays for the
+    # compound orders it does not read
+    f = random_field(4, 1, amplitude=0.6, seed=3)
+    built = []
+    compound_batch = lyapunov._compound_batch
+
+    def recording(A, combos):
+        built.append(len(combos[0]))
+        return compound_batch(A, combos)
+
+    monkeypatch.setattr(lyapunov, "_compound_batch", recording)
+    lyapunov_spectrum(f, POINT, 1.0, 1e-2)
+    assert built == []
+    band_estimates(f, T=1.0, m=2, dt=1e-2)
+    assert set(built) == {1, 3, 4}
+    built.clear()
+    exterior_sums(f, POINT, 1.0, 1e-2, i=2)
+    assert set(built) == {2}
 
 
 def test_zero_cadence_is_rejected():

@@ -96,30 +96,30 @@ def test_eig_counters_read_both_forms(tracer_module):
     assert t.maxima["side_max"] == max(real.meta["side"], cplx.meta["side"]) == 68
 
 
-def test_qr_count_is_the_windows_of_the_exponent_fold(tracer_module):
+def test_qr_count_matches_the_qr_calls_made(tracer_module, monkeypatch):
     # the tracer computes qr_count = B * ceil(M / renorm_every) from the arguments;
     # at the default cadence on a field where the clamp does not bind it must
-    # equal B times the windows the exponent fold takes
+    # equal B times the np.linalg.qr calls the QR frame makes
     f = random_field(2, 1, amplitude=0.5, seed=3)
-    T, dt = 6.01, 1e-2
-    h = cocycle.plan_steps(T, dt)[1]
-    window = min(lyapunov.DEFAULT_RENORM_EVERY, lyapunov.safe_cadence(f, h))
-    assert window == lyapunov.DEFAULT_RENORM_EVERY
-    points = sample_shell(2, lyapunov.SHELL_ENERGY, seed=0)
-    point = sample_shell(1, 0.5, seed=2)[0]
+    assert lyapunov.safe_cadence(f, 1e-2) > lyapunov.DEFAULT_RENORM_EVERY
+    batches = []
+    qr = np.linalg.qr
 
-    def windows(pts):
-        return sum(W.shape[1] for W in cocycle.window_products(f, phase_array(pts), T, dt, window))
+    def counting_qr(a, *args, **kwargs):
+        batches.append(a.shape[0])
+        return qr(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     t = tracer_module.Tracer()
     t.install()
     try:
-        lyapunov.band_estimates(f, T=T, m=2, dt=dt)
-        band = t.counts["qr_count"]
+        lyapunov.band_estimates(f, T=6.01, m=2, dt=1e-2)
+        band = (t.counts["qr_count"], list(batches))
+        batches.clear()
         t.reset_counts()
-        lyapunov.lyapunov_spectrum(f, point, T, dt)
-        single = t.counts["qr_count"]
+        lyapunov.lyapunov_spectrum(f, sample_shell(1, 0.5, seed=2)[0], 6.01, 1e-2)
+        single = (t.counts["qr_count"], list(batches))
     finally:
         t.uninstall()
-    assert band == 2 * windows(points) == 2 * 3
-    assert single == 1 * windows([point]) == 1 * 3
+    assert band == (2 * 3, [2, 2, 2])
+    assert single == (1 * 3, [1, 1, 1])
