@@ -12,9 +12,9 @@ Subcommands bind the library into the standard experiments:
 All experiment parameters live in a JSON config; flags only choose the
 command, the config path and an output directory.  Artifacts are
 deterministic given the config (reports embed its hash).  Exit codes:
-0 success, 1 input error (a MemoryError counts as one), 2 a configured
-check failed, 3 a numerical failure (a linear-algebra routine failed or a
-floating-point error was raised).
+0 success, 1 input error (a MemoryError or a file-system OSError counts
+as one), 2 a configured check failed, 3 a numerical failure (a
+linear-algebra routine failed or a floating-point error was raised).
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         outdir = Path(args.out) if args.out else _output_dir(cfg)
         return _COMMANDS[args.command](cfg, outdir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

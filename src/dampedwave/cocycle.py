@@ -17,10 +17,10 @@ reads its Fourier coefficients off one DFT, exactly whatever xi0 is.  Every
 step matrix of a chunk is then one column of one gemm of those coefficients
 against a table of phases e^{2i f.xi0 t}.  Window products of the steps are
 composed by pairwise products with running magnitude renormalization, which
-keeps horizons of hundreds of e-foldings inside double precision.  Both
-folds of window products, ``propagate_many`` here and the stream of
-``lyapunov``, take one window rule: the window is clamped to
-``safe_cadence``, the longest one whose product keeps its small directions.
+keeps horizons of hundreds of e-foldings inside double precision.
+``window_products`` clamps every window it makes to ``safe_cadence``, the
+longest one whose product keeps its small directions; ``safe_cadence`` also
+holds the RK4 stability guard.
 Batches pass between layers as arrays (units (B, n, n), logs (B,)) with
 G = e^{logs} units of RMS entry size 1; ``_compose`` forms every scaled
 product, and ``propagate`` returns one row as a ``ScaledMatrix``.  Starts
@@ -186,22 +186,20 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
     return M, (T / M if M else dt)
 
 
-def step_reach(field: DampingField, h: float) -> float:
-    """h * sum_k ||A_k||_2, a bound on h ||a(x)||_2 over the whole manifold.
-
-    ``window_products`` guards RK4's stability interval with it, and
-    ``safe_cadence`` sizes the windows of every fold by it.
-    """
-    _, As = field.modes()
-    return h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
-
-
 def safe_cadence(field: DampingField, h: float) -> int | float:
     """Longest window, in RK4 steps of size h, whose product has
     log-condition at most ``_GROUP_LOG_COND``: 2 * sum_k ||A_k||_2 * tau
     bounds it over a window of duration tau.  Unbounded (inf) for a zero field.
+
+    The reach h * sum_k ||A_k||_2 bounds h ||a(x)||_2 over the whole
+    manifold; ValueError when it reaches RK4's stability limit on the
+    negative real axis, where the scheme can grow a mode that the ODE damps.
     """
-    reach = step_reach(field, h)
+    _, As = field.modes()
+    reach = h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+    if reach >= _RK4_REAL_LIMIT:
+        raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
+                         f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")
     if reach == 0.0:
         return math.inf
     return max(1, math.floor(0.5 * _GROUP_LOG_COND / reach))
@@ -213,18 +211,18 @@ def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float
 
     ``starts`` is a float array (B, 2, d) whose row b is the start (x, xi).
     Yields arrays of shape (B, n_windows_in_chunk, n, n) in time order where
-    index i advances G across `window` consecutive steps (the final window
-    of the run may be shorter; a window longer than the run is the run).
-    The product of all yielded matrices, rightmost factor first, is G_T.
+    index i advances G across `window` consecutive steps, clamped to
+    ``safe_cadence`` and to the run (the final window of the run may be
+    shorter).  The product of all yielded matrices, rightmost factor first,
+    is G_T.
 
     The step matrices of a chunk come from one batched gemm of the
     ``_step_polynomial`` coefficients against the ``_phase_table`` of the
     chunk's step times, ordered (step within window, window) so that the
     window fold multiplies contiguous (batch, window) planes.
 
-    Raises ValueError when ``step_reach`` reaches RK4's stability limit on
-    the negative real axis, where the scheme can grow a mode that the ODE
-    damps, and when the coefficient box is above ``_MAX_BOX``.
+    Raises ValueError from ``safe_cadence`` when the step is outside RK4's
+    stability interval, and when the coefficient box is above ``_MAX_BOX``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -237,12 +235,8 @@ def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float
     M, h = plan_steps(T, dt)
     if M == 0:
         return
-    reach = step_reach(field, h)
-    if reach >= _RK4_REAL_LIMIT:
-        raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
-                         f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")
     n = field.n
-    window = min(window, M)
+    window = min(window, safe_cadence(field, h), M)
     C = _step_polynomial(field, starts, h)
     F = C.shape[-1]
 
@@ -305,16 +299,13 @@ def propagate_many(field: DampingField, starts: np.ndarray, T: float,
     """G_T for a batch of starts, a float array (B, 2, d) of rows (x, xi).
 
     Returns (units (B, n, n), logs (B,)) with G_T(starts[b]) =
-    e^{logs[b]} units[b] and each unit of RMS entry size 1.  Windows are
-    ``_DEFAULT_GROUP`` steps, clamped to ``safe_cadence``.
+    e^{logs[b]} units[b] and each unit of RMS entry size 1, folded from the
+    default ``window_products`` windows.
     """
-    h = plan_steps(T, dt)[1]
-    B = len(starts)
-    n = field.n
+    B, n = len(starts), field.n
     units = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
     logs = np.zeros(B)
-    window = min(_DEFAULT_GROUP, safe_cadence(field, h))
-    for W in window_products(field, starts, T, dt, window=window):
+    for W in window_products(field, starts, T, dt):
         units, logs = _compose(*_scaled_reduce(W), units, logs)
     return units, logs
 

@@ -10,8 +10,8 @@ Two families of rates are estimated from the same trajectories:
   spectral density.
 
 All of them read one pass, ``_stream``, over the window transfer matrices
-(``cocycle.window_products``), its windows clamped as in
-``cocycle.propagate_many``.  The C bounds read the norms of the folded
+(``cocycle.window_products``, which clamps every window to
+``cocycle.safe_cadence``).  The C bounds read the norms of the folded
 compounds C_1, C_{n-1} and C_n of G_T, since
 log sigma_min(G_T) = log |det G_T| - log ||C_{n-1}(G_T)||_2; the exponents
 read one QR frame per window.  Nothing is inverted.  The essential inf/sup
@@ -106,9 +106,10 @@ def _stream(field: DampingField, points: list[PhasePoint], T: float, dt: float,
     For each i in ``orders`` the compounds of the window factors are folded
     into C_i(G_T) (C_i(AB) = C_i(A) C_i(B)).  Windows are ``renorm_every``
     steps, or ``_DEFAULT_GROUP`` when it is None, clamped to ``safe_cadence``
-    either way, as in ``cocycle.propagate_many``.  A given ``renorm_every``
-    also carries an orthonormal frame through the windows, one product and
-    one QR each, whose log R-diagonals sum to those of G_T = QR.  The
+    here as ``window_products`` clamps them, since the half snapshot and
+    ``window`` read the length that ran.  A given ``renorm_every`` also
+    carries an orthonormal frame through the windows, one product and one
+    QR each, whose log R-diagonals sum to those of G_T = QR.  The
     half-horizon snapshot is the running sum at the first window end at or
     after T/2.  In exact arithmetic nothing here depends on the window
     length; the clamp keeps rounding from making it so.

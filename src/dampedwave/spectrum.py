@@ -194,11 +194,15 @@ def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEF
     """Dense eigendecomposition of the generator, mapped to tau = -i mu."""
     if not 0.0 < reliability_fraction <= 1.0:
         raise ValueError("reliability fraction must lie in (0, 1]")
-    real = _real_form(gen.matrix, len(gen.modes), gen.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test or eigvals
+        real = _real_form(gen.matrix, len(gen.modes), gen.n)
     try:
         mu = np.linalg.eigvals(gen.matrix if real is None else real)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolver failed on side {gen.side}: {exc}") from exc
+    if not np.all(np.isfinite(mu)):
+        raise np.linalg.LinAlgError(f"eigensolver returned {np.sum(~np.isfinite(mu))} non-finite "
+                                    f"eigenvalues of {mu.size} on side {gen.side}")
     taus = -1j * mu
     taus = taus[np.lexsort((taus.imag, taus.real))]
     meta = {

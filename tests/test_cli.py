@@ -246,6 +246,36 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "eigenvalues.csv").exists()
 
 
+def test_eigenvalues_lost_to_overflow_exit_3(tmp_path, capsys):
+    cfg = {"damping": {"generator": {"n": 2, "K": 1, "amplitude": 1e308}}, "solver": {"N": 4},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure:") and "side 36" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["spectrum", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decay"])
+@pytest.mark.parametrize("by_flag", [True, False])
+def test_an_output_dir_below_a_file_is_an_input_error(tmp_path, capsys, command, by_flag):
+    (tmp_path / "plain").write_text("")
+    out = str(tmp_path / "plain" / "out")
+    cfg = dict(EVOLUTION if command == "decay" else CONSTANT, output={"dir": out})
+    argv = [command, "--config", write_cfg(tmp_path, cfg)] + (["--out", out] if by_flag else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (tmp_path / "plain").read_text() == "" and sorted(tmp_path.iterdir()) == [
+        tmp_path / "cfg.json", tmp_path / "plain"]
+
+
 def test_decay_command_and_residual_gate(tmp_path):
     cfg = {
         "manifold": {"kind": "circle", "d": 1},

@@ -249,6 +249,9 @@ def test_step_outside_rk4_stability_is_rejected():
         lyapunov_spectrum(f, POINT, 64.0, dt=0.5)
     with pytest.raises(ValueError, match="stability"):
         finite_time_bounds(f, 64.0, [POINT], dt=0.5)
+    # the guard lives in the window rule that every fold reads
+    with pytest.raises(ValueError, match="stability"):
+        safe_cadence(f, 0.5)
     # just inside the limit (h * 400 = 2.76) the step still damps
     assert lyapunov_spectrum(f, POINT, 1.0, dt=6.9e-3).exponents[0] < 0.0
     sp = lyapunov_spectrum(f, POINT, 1.0, dt=1e-3)
@@ -356,6 +359,16 @@ def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
     mild = band_estimates(random_field(2, 1, 0.6, seed=5), T=1.0, m=2, dt=1e-3, seed=0)
     assert mild.diagnostics["renorm_every"] == DEFAULT_RENORM_EVERY == 250
     assert safe_cadence(DampingField.zero(2, 1), 1e-3) == math.inf
+
+
+def test_window_products_clamp_every_window_to_the_safe_cadence():
+    # a caller asking for 250 steps gets the field's 5-step windows, not one
+    # 200-step product whose small direction is lost
+    f = stiff_coupled_field()
+    start = phase_array([POINT])
+    asked = np.concatenate(list(window_products(f, start, 1.0, 5e-3, window=250)), axis=1)
+    safe = np.concatenate(list(window_products(f, start, 1.0, 5e-3, window=5)), axis=1)
+    assert asked.shape[1] == 40 and np.array_equal(asked, safe)
 
 
 @pytest.mark.parametrize("field, dt", [(random_field(3, 1, 0.6, seed=19), 1e-3),

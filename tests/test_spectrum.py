@@ -145,6 +145,15 @@ def test_csv_and_metadata():
     assert meta["field_hash"]
 
 
+def test_eigenvalues_lost_to_overflow_are_reported():
+    # at amplitude 1e308 the eigensolver returns some eigenvalues as inf or NaN;
+    # the overflowing symmetry test must not warn (filterwarnings = error)
+    gen = assemble(random_field(2, 1, 1e308), CIRCLE, 4)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalues of 36 on side 36"):
+        eigenvalues_tau(gen)
+    assert np.all(np.isfinite(solve(random_field(2, 1, 1e307), CIRCLE, 4).taus))
+
+
 TORUS = Manifold("flat_torus", 2)
 BUILDER_CASES = [
     (random_field(1, 2, 0.6, seed=11), CIRCLE, 6),
