@@ -191,12 +191,11 @@ def safe_cadence(field: DampingField, h: float) -> int | float:
     log-condition at most ``_GROUP_LOG_COND``: 2 * sum_k ||A_k||_2 * tau
     bounds it over a window of duration tau.  Unbounded (inf) for a zero field.
 
-    The reach h * sum_k ||A_k||_2 bounds h ||a(x)||_2 over the whole
+    The reach h * ``field.norm_bound`` bounds h ||a(x)||_2 over the whole
     manifold; ValueError when it reaches RK4's stability limit on the
     negative real axis, where the scheme can grow a mode that the ODE damps.
     """
-    _, As = field.modes()
-    reach = h * float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+    reach = h * field.norm_bound
     if reach >= _RK4_REAL_LIMIT:
         raise ValueError(f"step h={h:g} times the bound on ||a|| is {reach:g} >= "
                          f"{_RK4_REAL_LIMIT}, outside RK4's stability interval; lower dt")

@@ -18,6 +18,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,11 @@ class DampingField:
         if not self.coeffs:
             return 0
         return max(max(abs(c) for c in k) for k in self.coeffs)
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """sum_k ||A_k||_2, a bound on ||a(x)||_2 over the whole manifold."""
+        return float(np.sum(np.linalg.norm(self.modes()[1], ord=2, axis=(-2, -1))))
 
     def modes(self):
         """Stacked (frequencies, coefficients) in a fixed lexicographic order."""

@@ -17,7 +17,7 @@ depends only on the lag p - q, so each lag diagonal of the anti-Wick
 operator is one gemm over the centers.  The Weyl operator is built from
 K(x, y) = (2 pi h)^{-1} int a((x+y)/2, xi) e^{i(x-y)xi/h} dxi with momentum
 nodes dense enough that the discrete kernel has no replica within the box;
-entry (p, q) reads the same table at lag p - q and midpoint index p + q.
+entry (p, q) reads the same sums at lag p - q and midpoint index p + q only.
 
 Matrix-valued symbols quantize entrywise against the scalar projector
 weights.  A periodized circle variant backs the propagator-factorization
@@ -167,20 +167,25 @@ def _aw_nodes(grid: GridSpec):
     return xs, xis, wx * sxi / (2.0 * math.pi * h)
 
 
-def _lag_table(symbol: Symbol, centers, lags, xis, weight: float) -> np.ndarray:
-    """weight * sum_k a(c, xi_k) e^{i m dx xi_k / h} for every integer lag m and center c.
+def _lag_table(symbol: Symbol, centers, lags, xis, weight: float, at=None) -> np.ndarray:
+    """weight * sum_k a(c, xi_k) e^{i m dx xi_k / h} for every integer lag m and center c,
+    or, with center indices ``at`` broadcasting against ``lags``, at (lags[j], centers[at[j]]).
 
     Precondition: ``xis`` are the K nodes ``_midpoints(nyquist, s)`` of the grid,
     so dx xi_k / h = pi (2k + 1 - K) / K and the sum is
     (-1)^m e^{i pi m / K} K ifft(a(c, xi))[m mod K]: one length-K FFT per
-    center, exact for every integer m, also beyond one period.  The symbol is
-    called once per center.  Returns (len(lags), len(centers), n*n).
+    center, exact for every integer m, also beyond one period.  The symbol is called
+    once per center.  Returns (len(lags), len(centers), n*n), or (*shape, n*n) with ``at``.
     """
     K, nn = len(xis), symbol.n ** 2
-    vals = np.stack([np.asarray(symbol(c, xis)).reshape(K, nn) for c in centers], axis=1)
-    r = np.asarray(lags) % (2 * K)  # the phase factor has period 2K in m
-    T = np.fft.ifft(vals, axis=0)[r % K]
-    T *= ((weight * K) * np.where(r % 2, -1.0, 1.0) * np.exp(1j * math.pi * r / K))[:, None, None]
+    m = np.arange(2 * K)  # the phase factor has period 2K in m
+    phase = (weight * K) * np.where(m % 2, -1.0, 1.0) * np.exp(1j * math.pi * m / K)
+    r = np.asarray(lags) % (2 * K)
+    if at is None:
+        r, at = r[:, None], np.arange(len(centers))
+    vals = np.stack([np.reshape(symbol(c, xis), (K, nn)) for c in centers], axis=1, dtype=complex)
+    T = np.fft.ifft(vals, axis=0, out=vals)[r % K, at]  # in place: one (K, C, nn) array
+    T *= phase[r][..., None]
     return T
 
 
@@ -231,9 +236,8 @@ def weyl_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
     s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)  # no kernel replica within the box
     xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
     mids = -grid.L + (np.arange(2 * P - 1) + 1) * (0.5 * dx)  # (y_p + y_q)/2 at p + q
-    p = np.arange(P)
-    T = _lag_table(symbol, mids, np.arange(1 - P, P), xis, dx * sxi / (2.0 * math.pi * h))
-    K = T[p[:, None] - p[None, :] + (P - 1), p[:, None] + p[None, :]]
+    p = np.arange(P)[:, None]
+    K = _lag_table(symbol, mids, p - p.T, xis, dx * sxi / (2.0 * math.pi * h), at=p + p.T)
     return K.reshape(P, P, n, n).transpose(2, 0, 3, 1).reshape(n * P, n * P)
 
 

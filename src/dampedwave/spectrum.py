@@ -24,6 +24,11 @@ S^H G S = Re G + Im(GP - PG)/2 is a real matrix similar to G: the dense
 eigensolve runs on it in real arithmetic, and tau <-> -conj(tau) pairs
 exactly.  The test is exact equality on the assembled matrix; complex
 Hermitian fields fail it and are solved as they are.
+
+The matrix solved (real form or G) splits into the connected components of its
+nonzero pattern: entries between them are exactly zero, so it is block diagonal under
+a permutation and its eigenvalues are the union of the blocks' (one block per mode for
+a constant field, one per slice when the frequencies lie on a line of Z^2).
 """
 
 from __future__ import annotations
@@ -189,6 +194,17 @@ def _real_form(G: np.ndarray, M: int, n: int) -> np.ndarray | None:
     return out.reshape(G.shape)
 
 
+def _components(A: np.ndarray) -> np.ndarray:
+    """Smallest index in the component of each index of A's nonzero pattern as an undirected
+    graph: each label hooks onto the smallest one across an edge, then pointers jump once."""
+    r, c = np.nonzero(A)
+    lab = np.arange(len(A))
+    while not np.array_equal(lo := np.minimum(lab[r], lab[c]), hi := np.maximum(lab[r], lab[c])):
+        np.minimum.at(lab, hi, lo)
+        lab = lab[lab]
+    return lab
+
+
 def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEFAULT_RELIABILITY,
                     field: DampingField | None = None) -> SpectrumSet:
     """Dense eigendecomposition of the generator, mapped to tau = -i mu."""
@@ -196,8 +212,13 @@ def eigenvalues_tau(gen: DiscretizedGenerator, reliability_fraction: float = DEF
         raise ValueError("reliability fraction must lie in (0, 1]")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test or eigvals
         real = _real_form(gen.matrix, len(gen.modes), gen.n)
-    try:
-        mu = np.linalg.eigvals(gen.matrix if real is None else real)
+    A = gen.matrix if real is None else real
+    _, comp, sizes = np.unique(_components(A), return_inverse=True, return_counts=True)
+    grouped = np.argsort(comp, kind="stable")
+    blocks = [grouped[sizes[comp[grouped]] == s].reshape(-1, s) for s in np.unique(sizes)]
+    try:  # one batched eigvals per component size
+        mu = np.linalg.eigvals(A) if len(sizes) == 1 else np.concatenate(
+            [np.linalg.eigvals(A[i[:, :, None], i[:, None, :]]).ravel() for i in blocks])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolver failed on side {gen.side}: {exc}") from exc
     if not np.all(np.isfinite(mu)):

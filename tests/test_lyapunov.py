@@ -361,6 +361,25 @@ def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
     assert safe_cadence(DampingField.zero(2, 1), 1e-3) == math.inf
 
 
+def test_safe_cadence_reads_the_norm_bound_once_per_field(monkeypatch):
+    f = random_field(2, 1, amplitude=0.5, seed=3)
+    _, As = f.modes()
+    bound = float(np.sum(np.linalg.norm(As, ord=2, axis=(-2, -1))))
+    cadences = [safe_cadence(f, h) for h in (1e-2, 1e-3)]
+    assert f.norm_bound == bound
+    assert cadences == [max(1, math.floor(9.0 / (h * bound))) for h in (1e-2, 1e-3)]
+    spectral_norms = []
+    norm = np.linalg.norm
+
+    def record(*a, **k):
+        spectral_norms.append(k.get("ord"))
+        return norm(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "norm", record)
+    propagate_many(f, phase_array([POINT]), 1.0, 1e-2)
+    assert safe_cadence(f, 1e-2) == cadences[0] and 2 not in spectral_norms
+
+
 def test_window_products_clamp_every_window_to_the_safe_cadence():
     # a caller asking for 250 steps gets the field's 5-step windows, not one
     # 200-step product whose small direction is lost

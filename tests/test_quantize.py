@@ -268,6 +268,23 @@ def test_lag_table_is_the_direct_momentum_sum(grid, sym):
     assert _rel_err(_lag_table(sym, centers, lags, xis, w), direct) < 1e-12
 
 
+@pytest.mark.parametrize("sym", [symbol_one(), symbol_harmonic().mollified(H),
+                                 symbol_cos_x().mollified(H), *GENERIC],
+                         ids=["one", "harmonic", "cos", "n1", "n2"])
+def test_weyl_build_gathers_the_full_lag_table(grid, sym):
+    # reference: the (2P - 1) x (2P - 1) table of every lag at every midpoint,
+    # read at lag p - q and midpoint p + q; the gather must equal it bit for bit
+    h, P, n = grid.h, grid.points, sym.n
+    s_rep = 2.0 * math.pi * h / (4.0 * grid.L + 1.0)
+    xis, sxi = _midpoints(grid.nyquist, min(NODE_SPACING * math.sqrt(h), s_rep))
+    mids = -grid.L + (np.arange(2 * P - 1) + 1) * (0.5 * grid.dx)
+    table = _lag_table(sym, mids, np.arange(1 - P, P), xis, grid.dx * sxi / (2.0 * math.pi * h))
+    p = np.arange(P)
+    ref = table[p[:, None] - p[None, :] + (P - 1), p[:, None] + p[None, :]]
+    ref = ref.reshape(P, P, n, n).transpose(2, 0, 3, 1).reshape(n * P, n * P)
+    assert np.array_equal(weyl_build(sym, grid), ref)
+
+
 def _projector_loop(symbol, centers, windows, offsets, xis, w, h, dx, P):
     """Reference anti-Wick sum: per center an explicit phase table E, the
     matmul E diag(w a) E^H per (a, b) block and a scatter onto its window."""

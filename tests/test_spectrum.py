@@ -286,3 +286,94 @@ def test_complex_hermitian_field_keeps_the_complex_matrix(monkeypatch):
     assert solve(random_field(2, 1, 0.6, seed=1), CIRCLE, 8).meta["eig_form"] == "complex"
     assert solve(one_plus_cos(), CIRCLE, 8).meta["eig_form"] == "real"
     assert seen == [np.dtype(complex), np.dtype(float)]
+
+
+def _on_even_frequencies(field):
+    """The circle field a(2x): every frequency doubled, so even and odd modes decouple."""
+    return DampingField(field.n, 1, {(2 * k[0],): A for k, A in field.coeffs.items()})
+
+
+def _separable_torus_field():
+    """The coefficients of random_field(2, 1, 0.6, seed=1) at k = (k1, 0): multiplication
+    conserves k2, so the T^2 generator splits into one circle slice per k2."""
+    b = random_field(2, 1, 0.6, seed=1)
+    return DampingField(2, 2, {(k[0], 0): A for k, A in b.coeffs.items()})
+
+
+# (field, manifold, N, number of components of the matrix eigvals receives)
+SPLIT_CASES = [
+    (DampingField.constant([[0.6]]), CIRCLE, 64, 129),
+    (DampingField.constant(np.diag([0.4, 1.1])), CIRCLE, 16, 66),
+    (_on_even_frequencies(_real_symmetric_field()), CIRCLE, 12, 2),
+    (_separable_torus_field(), TORUS, 8, 17),
+    (DampingField.zero(1, 1), CIRCLE, 16, 33),
+]
+
+
+def _solved_matrix(gen):
+    """The matrix eigenvalues_tau splits: the real form when it applies, else the generator."""
+    real = spectrum._real_form(gen.matrix, len(gen.modes), gen.n)
+    return gen.matrix if real is None else real
+
+
+@pytest.mark.parametrize("field,manifold,N,blocks", SPLIT_CASES,
+                         ids=["constant", "diagonal", "even", "separable_t2", "zero"])
+def test_component_split_matches_the_dense_solve(field, manifold, N, blocks):
+    from scipy.sparse.csgraph import connected_components
+
+    gen = assemble(field, manifold, N)
+    A = _solved_matrix(gen)
+    labels = spectrum._components(A)
+    count, ref = connected_components(A != 0, directed=True, connection="weak")
+    # the graph library's partition, each part labelled by its smallest index
+    _, first, part = np.unique(ref, return_index=True, return_inverse=True)
+    assert count == blocks
+    assert np.array_equal(labels, first[part])
+    i, j = np.nonzero(A)
+    assert np.array_equal(labels[i], labels[j])
+    spec = eigenvalues_tau(gen, field=field)
+    mu = np.linalg.eigvals(gen.matrix)
+    assert match_distance(1j * spec.taus, mu) <= 1e-10 * np.max(np.abs(mu))
+    assert match_distance(mu, 1j * spec.taus) <= 1e-10 * np.max(np.abs(mu))
+    if spec.meta["eig_form"] == "real":
+        assert max(float(np.min(np.abs(spec.taus + np.conj(t)))) for t in spec.taus) == 0.0
+
+
+def test_constant_field_split_matches_the_closed_form():
+    spec = solve(DampingField.constant([[0.6]]), CIRCLE, 128)
+    oracle = scalar_constant_taus(0.6, 128)
+    assert spec.meta["eig_form"] == "real"
+    assert match_distance(spec.taus, oracle) <= 1e-12
+    assert match_distance(oracle, spec.taus) <= 1e-12
+
+
+@pytest.mark.parametrize("field,manifold,N", [
+    (one_plus_cos(), CIRCLE, 16),
+    (random_field(2, 1, 0.6, seed=1), CIRCLE, 8),
+    (random_field(1, 1, 0.6, seed=3, d=2), TORUS, 4),
+])
+def test_one_component_matrix_goes_to_eigvals_unchanged(field, manifold, N, monkeypatch):
+    gen = assemble(field, manifold, N)
+    A = _solved_matrix(gen)
+    mu = np.linalg.eigvals(A)
+    direct = -1j * mu
+    direct = direct[np.lexsort((direct.imag, direct.real))]
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def record(a):
+        seen.append(a.copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", record)
+    spec = eigenvalues_tau(gen, field=field)
+    assert len(seen) == 1 and seen[0].shape == (gen.side, gen.side)
+    assert np.array_equal(seen[0], A)
+    assert np.array_equal(spec.taus, direct)
+
+
+def test_split_field_with_an_overflowing_block_is_reported():
+    gen = assemble(_on_even_frequencies(random_field(2, 1, 1e308)), CIRCLE, 4)
+    assert len(np.unique(spectrum._components(gen.matrix))) == 2
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalues of 36 on side 36"):
+        eigenvalues_tau(gen)
