@@ -409,6 +409,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         outdir = Path(args.out) if args.out else _output_dir(cfg)
+        # fail before any computation when no directory can be made there; create nothing
+        found = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"output directory {outdir} cannot be made: {found} is not a directory")
         return _COMMANDS[args.command](cfg, outdir)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

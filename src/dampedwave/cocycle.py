@@ -12,12 +12,13 @@ trigonometric polynomial in t, and so is the RK4 transfer matrix of the step
 [t, t + h]: S(t) = Phi(x_t), with Phi(y) the RK4 step built from the samples
 a(y), a(y + xi0 h) and a(y + 2 xi0 h), a product of at most four samples of
 a and so a trigonometric polynomial over the integer box |f|_inf <= 4K.
-``_step_polynomial`` evaluates Phi once per start on the (8K + 1)^d grid and
-reads its Fourier coefficients off one DFT, exactly whatever xi0 is.  Every
-step matrix of a chunk is then one column of one gemm of those coefficients
-against a table of phases e^{2i f.xi0 t}.  Window products of the steps are
-composed by pairwise products with running magnitude renormalization, which
-keeps horizons of hundreds of e-foldings inside double precision.
+``_step_polynomial`` evaluates Phi once per distinct momentum of a batch on
+the (8K + 1)^d grid and reads its Fourier coefficients off one DFT, exactly
+whatever xi0 is; x0 enters the table of phases e^{i f.(x0 + 2 xi0 t)}, and
+every step matrix is one column of one gemm of the coefficients against it.
+``_CHUNK_BUDGET`` bounds each chunk by splitting the run, and the batch too.
+Window products are composed pairwise with running magnitude renormalization,
+which keeps horizons of hundreds of e-foldings inside double precision.
 ``window_products`` clamps every window it makes to ``safe_cadence``, the
 longest one whose product keeps its small directions; ``safe_cadence`` also
 holds the RK4 stability guard.
@@ -43,8 +44,8 @@ from .geometry import PhasePoint, flow, phase_array
 
 #: steps between window boundaries used when no cadence is imposed by callers
 _DEFAULT_GROUP = 32
-#: target batch * frequencies * steps footprint of one chunk's phase table
-#: (80 000 steps of one start on the circle with K = 1)
+#: target batch * (frequencies + n^2) * steps footprint of one chunk's phase table
+#: and step matrices (55 384 steps of one 2 x 2 start on the circle with K = 1)
 _CHUNK_BUDGET = 720_000
 #: largest coefficient box (8K + 1)^d, fixed: one step of one start fills the default budget
 _MAX_BOX = _CHUNK_BUDGET
@@ -74,6 +75,15 @@ def _check_starts(starts, d: int) -> np.ndarray:
     return starts
 
 
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-d array and, for each row, its index among them."""
+    order = np.lexsort(a.T)
+    new = np.concatenate(([True], np.any(a[order[1:]] != a[order[:-1]], axis=1)))
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[order[new]], inverse
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched small-matrix product a @ b over the leading (broadcast) axes.
 
@@ -83,34 +93,33 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...jk->...ik", a, b)
 
 
-def _step_polynomial(field: DampingField, starts: np.ndarray, h: float) -> np.ndarray:
-    """Fourier coefficients C_f of the RK4 step matrix S(t) of [t, t + h].
+def _step_polynomial(field: DampingField, xis: np.ndarray, h: float) -> np.ndarray:
+    """Fourier coefficients C_f of the RK4 step Phi(y) of G' = -a G at momentum xi0.
 
-    S(t) = sum_f C_f e^{2i (f.xi0) t} over the integer box |f|_inf <= 4K;
-    returns C of shape (B, n*n, F) with F = (8K + 1)^d and f in C order.
-    S(t) = Phi(x0 + 2 xi0 t), where Phi(y) is the classical RK4 update of
-    G' = -a G in its nested stage form on the samples B_c = a(y + c xi0 h),
-    c = 0, 1, 2,
+    Phi(y) = sum_f C_f e^{i f.y} over the integer box |f|_inf <= 4K, and the
+    step [t, t + h] of the start (x0, xi0) is S(t) = Phi(x0 + 2 xi0 t);
+    returns C of shape (B, n*n, F) for the momenta ``xis`` (B, d), with
+    F = (8K + 1)^d and f in C order.  Phi(y) is the classical RK4 update in
+    its nested stage form on the samples B_c = a(y + c xi0 h), c = 0, 1, 2,
 
       K2 = B2 (h/2 B1 - I),  K3 = B2 (-h/2 K2 - I),  K4 = B3 (-h K3 - I),
       S  = I + (h/6) (2 (K2 + K3) + K4 - B1)
 
     (K_i is the i-th stage slope divided by G).  Phi is a product of at most
     four samples of a, a trigonometric polynomial over |f|_inf <= 4K, so one
-    DFT of Phi(x0 + y) on the grid y = 2 pi m / (8K + 1), m in {0, ..., 8K}^d,
-    gives its coefficients exactly, and they are the C_f.  Matrices are held as
-    component planes (n, n, 3 stages, B, grid).
+    DFT of Phi on the grid y = 2 pi m / (8K + 1), m in {0, ..., 8K}^d, gives
+    its coefficients exactly.  Matrices are held as component planes
+    (3 stages, n, n, B, grid).
     """
     ks, As = field.modes()
     d, n, N = field.d, field.n, 8 * field.K + 1
     grid = (2.0 * math.pi / N) * np.indices((N,) * d).reshape(d, -1).T
-    waves = np.exp(1j * (grid @ ks.T))  # (F, J)
-    # a(x0 + y + c xi0 h) = sum_k A_k e^{ik.(x0 + c xi0 h)} e^{ik.y}, stage c first
-    amp = np.exp(1j * ((starts[:, 0] + (h * np.arange(3))[:, None, None] * starts[:, 1]) @ ks.T))
-    samples = np.zeros((n, n, 3, len(starts), len(grid)), dtype=complex)
-    for j, A in enumerate(As):
-        samples += A[:, :, None, None, None] * (amp[:, :, j, None] * waves[:, j])
-    B1, B2, B3 = samples.transpose(2, 0, 1, 3, 4)
+    # a(y + c xi0 h) = sum_k (A_k e^{ik.c xi0 h}) e^{ik.y}, stage c first: one gemm
+    # of the phased coefficients (3, B, n, n, J) against the waves (J, grid)
+    amp = np.exp(1j * (((h * np.arange(3))[:, None, None] * xis) @ ks.T))
+    phased = (amp[:, :, None, None, :] * As.transpose(1, 2, 0)).reshape(3 * len(xis) * n * n, -1)
+    samples = (phased @ np.exp(1j * (grid @ ks.T)).T).reshape(3, len(xis), n, n, -1)
+    B1, B2, B3 = samples.transpose(0, 2, 3, 1, 4).copy()
     diag = (np.arange(n),) * 2
 
     def stage(Bc, Y, scale):
@@ -125,21 +134,22 @@ def _step_polynomial(field: DampingField, starts: np.ndarray, h: float) -> np.nd
     S[diag] += 1.0
     axes = tuple(range(3, 3 + d))
     S = np.fft.fftn(S.reshape(n, n, -1, *(N,) * d), axes=axes, norm="forward")
-    return np.fft.fftshift(S, axes=axes).reshape(n * n, len(starts), -1).transpose(1, 0, 2).copy()
+    return np.fft.fftshift(S, axes=axes).reshape(n * n, len(xis), -1).transpose(1, 0, 2).copy()
 
 
-def _phase_table(xi: np.ndarray, R: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """e^{2i (f.xi) t} over the box |f|_inf <= R (f in C order) and the times
-    t = coarse + fine, fine-major: shape (B, F, fine.size * coarse.size).
+def _phase_table(starts: np.ndarray, R: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """e^{i f.(x0 + 2 xi t)} over the box |f|_inf <= R (f in C order), the
+    starts (B, 2, d) of rows (x0, xi) and the times t = coarse + fine,
+    fine-major: shape (B, F, fine.size * coarse.size).
 
-    One exponential per dimension, factored as e^{2i xi coarse} e^{2i xi fine};
+    One exponential per dimension, factored as e^{i (x0 + 2 xi fine)} e^{2i xi coarse};
     the other frequencies are its powers, and negative powers are conjugates.
     """
-    B, steps = len(xi), fine.size * coarse.size
+    B, steps = len(starts), fine.size * coarse.size
     table = None
-    for i in range(xi.shape[1]):
-        w = 2j * xi[:, i, None]
-        z = (np.exp(w * fine)[:, :, None] * np.exp(w * coarse)[:, None, :]).reshape(B, steps)
+    for i in range(starts.shape[2]):
+        x0, w = 1j * starts[:, 0, i, None], 2j * starts[:, 1, i, None]
+        z = (np.exp(x0 + w * fine)[:, :, None] * np.exp(w * coarse)[:, None, :]).reshape(B, steps)
         powers = np.empty((B, 2 * R + 1, steps), dtype=complex)
         powers[:, R] = 1.0
         for p in range(1, R + 1):
@@ -216,9 +226,11 @@ def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float
     is G_T.
 
     The step matrices of a chunk come from one batched gemm of the
-    ``_step_polynomial`` coefficients against the ``_phase_table`` of the
-    chunk's step times, ordered (step within window, window) so that the
-    window fold multiplies contiguous (batch, window) planes.
+    ``_step_polynomial`` coefficients, built once per distinct momentum,
+    against the ``_phase_table`` of the starts and the chunk's step times,
+    ordered (step within window, window) so that the window fold multiplies
+    contiguous (batch, window) planes.  A chunk's tables and step matrices
+    hold at most ``_CHUNK_BUDGET`` entries, or one window of one start.
 
     Raises ValueError from ``safe_cadence`` when the step is outside RK4's
     stability interval, and when the coefficient box is above ``_MAX_BOX``.
@@ -236,21 +248,28 @@ def window_products(field: DampingField, starts: np.ndarray, T: float, dt: float
         return
     n = field.n
     window = min(window, safe_cadence(field, h), M)
-    C = _step_polynomial(field, starts, h)
-    F = C.shape[-1]
-
-    steps_per_chunk = max(window, (_CHUNK_BUDGET // max(B * F, 1)) // window * window)
+    xis, inverse = _distinct_rows(starts[:, 1])
+    C = _step_polynomial(field, xis, h)
+    cost = box + n * n  # entries per start and step: its phases and its step matrix
+    # equal slices of the batch when one window of all of it is over the budget
+    rows = max(1, min(B, _CHUNK_BUDGET // (cost * window)))
+    rows = -(-B // -(-B // rows))
+    steps_per_chunk = max(window, (_CHUNK_BUDGET // (rows * cost)) // window * window)
     s0 = 0
     while s0 < M:
         s1 = min(s0 + steps_per_chunk, M)
         n_win = -(-(s1 - s0) // window)
-        table = _phase_table(starts[:, 1], 4 * field.K, h * (s0 + window * np.arange(n_win)),
-                             h * np.arange(window))
-        S = np.matmul(C, table).reshape(B, n, n, window, n_win)
-        S = np.ascontiguousarray(S.transpose(1, 2, 3, 0, 4))
-        # identity steps fill the run's short final window
-        S[:, :, s1 - s0 - window * (n_win - 1):, :, -1] = np.eye(n)[:, :, None, None]
-        yield _fold_steps(S).transpose(2, 3, 0, 1)
+        coarse, fine = h * (s0 + window * np.arange(n_win)), h * np.arange(window)
+        parts = []
+        for b in range(0, B, rows):
+            S = np.matmul(C[inverse[b:b + rows]], _phase_table(starts[b:b + rows], 4 * field.K,
+                                                              coarse, fine))
+            S = np.ascontiguousarray(S.reshape(-1, n, n, window, n_win).transpose(1, 2, 3, 0, 4))
+            # identity steps fill the run's short final window
+            S[:, :, s1 - s0 - window * (n_win - 1):, :, -1] = np.eye(n)[:, :, None, None]
+            parts.append(_fold_steps(S).transpose(2, 3, 0, 1))
+            del S  # before the next slice's table
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
         s0 = s1
 
 

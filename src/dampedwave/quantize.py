@@ -174,8 +174,9 @@ def _lag_table(symbol: Symbol, centers, lags, xis, weight: float, at=None) -> np
     Precondition: ``xis`` are the K nodes ``_midpoints(nyquist, s)`` of the grid,
     so dx xi_k / h = pi (2k + 1 - K) / K and the sum is
     (-1)^m e^{i pi m / K} K ifft(a(c, xi))[m mod K]: one length-K FFT per
-    center, exact for every integer m, also beyond one period.  The symbol is called
-    once per center.  Returns (len(lags), len(centers), n*n), or (*shape, n*n) with ``at``.
+    center, exact for every integer m, also beyond one period.  One symbol call
+    per build, on the whole (momentum, center) grid, lands in the array the FFT
+    runs on.  Returns (len(lags), len(centers), n*n), or (*shape, n*n) with ``at``.
     """
     K, nn = len(xis), symbol.n ** 2
     m = np.arange(2 * K)  # the phase factor has period 2K in m
@@ -183,7 +184,7 @@ def _lag_table(symbol: Symbol, centers, lags, xis, weight: float, at=None) -> np
     r = np.asarray(lags) % (2 * K)
     if at is None:
         r, at = r[:, None], np.arange(len(centers))
-    vals = np.stack([np.reshape(symbol(c, xis), (K, nn)) for c in centers], axis=1, dtype=complex)
+    vals = np.asarray(symbol(centers, xis[:, None]), dtype=complex).reshape(K, len(centers), nn)
     T = np.fft.ifft(vals, axis=0, out=vals)[r % K, at]  # in place: one (K, C, nn) array
     T *= phase[r][..., None]
     return T

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dampedwave import spectrum
+from dampedwave import evolution, spectrum
 from dampedwave.cli import main
 from dampedwave.damping import DampingField, random_field
 from dampedwave.geometry import sample_shell
@@ -274,6 +274,24 @@ def test_an_output_dir_below_a_file_is_an_input_error(tmp_path, capsys, command,
     assert err.startswith("error:") and "Traceback" not in err
     assert (tmp_path / "plain").read_text() == "" and sorted(tmp_path.iterdir()) == [
         tmp_path / "cfg.json", tmp_path / "plain"]
+
+
+@pytest.mark.parametrize("command, module, solver", [("spectrum", spectrum, "solve"),
+                                                     ("decay", evolution, "evolve")])
+@pytest.mark.parametrize("below", [True, False])
+def test_an_unusable_output_dir_fails_before_the_solver(tmp_path, capsys, monkeypatch, command,
+                                                        module, solver, below):
+    def reached(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(module, solver, reached)
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / "plain" / "a" / "b" if below else tmp_path / "plain"
+    cfg = write_cfg(tmp_path, EVOLUTION if command == "decay" else CONSTANT)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+    assert (tmp_path / "plain").read_text() == ""
 
 
 def test_decay_command_and_residual_gate(tmp_path):

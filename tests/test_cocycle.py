@@ -227,10 +227,47 @@ def test_rk4_step_matrices_match_expanded_polynomial(n):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_step_polynomial_rows_are_the_single_start_builds(d):
     f = random_field(2, 1, amplitude=0.7, seed=9, d=d)
-    starts = phase_array(sample_shell(5, 0.5, d=d, seed=d))
-    C = cocycle._step_polynomial(f, starts, 0.05)
+    xis = phase_array(sample_shell(5, 0.5, d=d, seed=d))[:, 1]
+    C = cocycle._step_polynomial(f, xis, 0.05)
+    for b in range(len(xis)):
+        assert np.max(np.abs(C[b] - cocycle._step_polynomial(f, xis[b:b + 1], 0.05)[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_starts_sharing_a_momentum_match_their_single_start_runs(d):
+    # three positions per momentum: one step build each, the positions in the phase table
+    f = random_field(2, 1, amplitude=0.8, seed=11, d=d)
+    starts = np.repeat(phase_array(sample_shell(2, 0.5, d=d, seed=3)), 3, axis=0)
+    starts[:, 0] = np.random.default_rng(d).uniform(0.0, 2.0 * math.pi, (6, d))
+    got = np.concatenate(list(window_products(f, starts, 1.0, 1e-2, window=7)), axis=1)
     for b in range(len(starts)):
-        assert np.max(np.abs(C[b] - cocycle._step_polynomial(f, starts[b:b + 1], 0.05)[0])) <= 1e-15
+        one = np.concatenate(list(window_products(f, starts[b:b + 1], 1.0, 1e-2, window=7)), axis=1)
+        assert np.max(np.abs(got[b] - one[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("budget", [50, 200])
+def test_window_products_split_the_batch_to_keep_the_budget(monkeypatch, budget):
+    # F = 9 phases and n^2 = 4 step entries per start and step: one window
+    # of the batch, 40 * 13 * 10 entries, is far over both budgets, and each
+    # table holds one window of one start.  The unsplit run holds one window
+    # of the whole batch per chunk, so only the batch split differs.
+    f = random_field(2, 1, amplitude=0.9, seed=12)
+    starts = phase_array(sample_shell(40, 0.5, seed=2))
+    monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", 40 * 13 * 10)
+    whole = np.concatenate(list(window_products(f, starts, 1.0, 1e-2, window=10)), axis=1)
+    sizes, phase_table = [], cocycle._phase_table
+
+    def spy(*args):
+        table = phase_table(*args)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(cocycle, "_phase_table", spy)
+    monkeypatch.setattr(cocycle, "_CHUNK_BUDGET", budget)
+    got = np.concatenate(list(window_products(f, starts, 1.0, 1e-2, window=10)), axis=1)
+    assert len(sizes) >= 10 * 40 * 90 // max(budget, 90)
+    assert max(sizes) <= max(budget, 90)
+    assert np.array_equal(got, whole)
 
 
 @pytest.mark.parametrize("B", [1, 4])

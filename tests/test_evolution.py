@@ -8,7 +8,7 @@ from scipy.linalg import circulant
 from dampedwave.damping import DampingField, extremal_bounds, one_plus_cos, random_field
 from dampedwave.cocycle import propagate
 from dampedwave.geometry import Manifold, PhasePoint
-from dampedwave import evolution
+from dampedwave import evolution, quantize
 from dampedwave.evolution import (
     WaveState,
     _energies,
@@ -285,6 +285,21 @@ def test_matrix_cocycle_symbol_matches_propagate_per_node():
         start = PhasePoint((x[idx] + 2.0 * xi[idx] * t,), (-0.5 * xi[idx],))
         G = propagate(f, start, 2.0 * t, dt)
         assert np.allclose(vals[idx], math.exp(G.log_scale) * G.unit, rtol=0.0, atol=1e-14)
+
+
+def test_matrix_factorization_matches_the_per_center_builds(monkeypatch):
+    # the reference quantizes with one symbol call, so one cocycle batch, per center
+    f, t, h = random_field(2, 1, 0.6, seed=3), 0.1, 0.1
+    got = factorization_residual(f, t=t, h=h, symbol_dt=0.01)
+    lag_table = quantize._lag_table
+
+    def per_center(symbol, centers, *args):
+        return np.concatenate([lag_table(symbol, centers[c:c + 1], *args)
+                               for c in range(len(centers))], axis=1)
+
+    monkeypatch.setattr(quantize, "_lag_table", per_center)
+    ref = factorization_residual(f, t=t, h=h, symbol_dt=0.01)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_factorization_rejections():

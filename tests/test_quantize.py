@@ -25,7 +25,10 @@ from dampedwave.quantize import (
     symbol_xi,
     weyl_build,
 )
-from dampedwave.evolution import suggest_modes
+from dampedwave import quantize
+from dampedwave.cli import _psd_probe_symbols
+from dampedwave.damping import random_field
+from dampedwave.evolution import cocycle_symbol, suggest_modes
 
 H = 0.1
 L = 5.0
@@ -362,3 +365,46 @@ def test_circle_hermitian_symbol_gives_hermitian_operator():
         grid = CircleGrid(2 * suggest_modes(h), h)
         A = antiwick_build_circle(Symbol(herm, 2), grid)
         assert np.linalg.norm(A - A.conj().T) < 1e-12 * np.linalg.norm(A)
+
+
+def _per_center_lag_table(symbol, centers, lags, xis, weight, at=None):
+    # oracle: the build with one symbol call and one FFT per center.  Each
+    # center is passed as a one-element array, so the symbol runs the same
+    # array arithmetic as on the whole grid (on a numpy scalar, x ** 2 is a
+    # libm pow, on an array an exact square)
+    K, nn = len(xis), symbol.n ** 2
+    m = np.arange(2 * K)
+    phase = (weight * K) * np.where(m % 2, -1.0, 1.0) * np.exp(1j * math.pi * m / K)
+    r = np.asarray(lags) % (2 * K)
+    if at is None:
+        r, at = r[:, None], np.arange(len(centers))
+    vals = np.stack([np.reshape(symbol(centers[c:c + 1], xis[:, None]), (K, nn))
+                     for c in range(len(centers))], axis=1, dtype=complex)
+    T = np.fft.ifft(vals, axis=0, out=vals)[r % K, at]
+    T *= phase[r][..., None]
+    return T
+
+
+def _one_call_symbols(h):
+    return {**{f"probe{i}": s for i, s in enumerate(_psd_probe_symbols())},
+            **{s.label: s.mollified(h) for s in (symbol_one(), symbol_harmonic(), symbol_cos_x())},
+            "cocycle_n1": cocycle_symbol(random_field(1, 1, 0.6, seed=3), 0.1, dt=0.05),
+            "cocycle_n2": cocycle_symbol(random_field(2, 1, 0.6, seed=3), 0.1, dt=0.05)}
+
+
+@pytest.mark.parametrize("build", ["antiwick", "weyl", "circle"])
+@pytest.mark.parametrize("h, Lbox", [(0.1, 5.0), (0.05, 8.0)])
+def test_one_symbol_call_per_build_matches_the_per_center_builds(monkeypatch, build, h, Lbox):
+    if build == "circle":
+        grid, builder = CircleGrid(2 * suggest_modes(h), h), antiwick_build_circle
+    else:
+        grid = GridSpec.build(Lbox, h)
+        builder = antiwick_build if build == "antiwick" else weyl_build
+    for name, sym in _one_call_symbols(h).items():
+        # the Weyl nodes at h = 0.05 would make about 10^6 cocycle runs
+        if build == "weyl" and h == 0.05 and name.startswith("cocycle"):
+            continue
+        got = builder(sym, grid)
+        with monkeypatch.context() as mp:
+            mp.setattr(quantize, "_lag_table", _per_center_lag_table)
+            assert np.array_equal(got, builder(sym, grid)), name
