@@ -18,7 +18,10 @@ convention that zeroes the a = 0 and constant-a baselines is
 
 i.e. momentum is halved after transporting the base point along the flow;
 wave packets under e^{itP/h} travel backwards along the flow, and the
-damping they accumulate is exactly the cocycle along that path.
+damping they accumulate is exactly the cocycle along that path.  Its
+Fourier multipliers are ``quantize.circulant`` gathers; the damped propagator
+is ``expm``, which imports ``scipy.linalg.expm`` on its first call, the only
+place this module loads scipy.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant, expm
 
 from .cocycle import _line_integrals, plan_steps, propagate_many
 from .damping import DampingField
 from .geometry import TWO_PI, mode_lattice
-from .quantize import CircleGrid, Symbol, antiwick_build_circle
+from .quantize import CircleGrid, Symbol, antiwick_build_circle, circulant
 from .spectrum import DiscretizedGenerator, multiplication_blocks
 
 
@@ -231,6 +233,12 @@ def suggest_modes(h: float) -> int:
     p1 = 4.0 * math.pi / math.sqrt(h)
     p2 = (1.5 + 10.0 * math.sqrt(h)) / h
     return int(math.ceil(max(p1, p2) / 2.0)) * 2
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(A)``, with scipy loaded on the first call only."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 def factorization_residual(field: DampingField, t: float, h: float,

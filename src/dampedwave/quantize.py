@@ -24,6 +24,8 @@ weights.  A periodized circle variant backs the propagator-factorization
 experiment; coherent states are wrapped by summing nearby periodic images
 (a single image survives the tail truncation for h <= 0.15), and it runs
 the same core on the grid unrolled by one window past each end, then folds.
+Fourier multipliers on a periodic grid are ``circulant`` gathers; the module
+runs on numpy alone and never loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import warnings
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 TAIL_CUT = 8.0  # Gaussian tails kept out to TAIL_CUT * sqrt(h)
 NODE_SPACING = 0.25  # phase-space quadrature spacing in units of sqrt(h)
@@ -240,6 +241,14 @@ def weyl_build(symbol: Symbol, grid: GridSpec) -> np.ndarray:
     p = np.arange(P)[:, None]
     K = _lag_table(symbol, mids, p - p.T, xis, dx * sxi / (2.0 * math.pi * h), at=p + p.T)
     return K.reshape(P, P, n, n).transpose(2, 0, 3, 1).reshape(n * P, n * P)
+
+
+def circulant(c: np.ndarray) -> np.ndarray:
+    """The matrix with first column c, entry (i, j) = c[(i - j) mod P]: a Fourier
+    multiplier on a periodic grid of P points is circulant(ifft(multiplier)).
+    Gathers the same entries as ``scipy.linalg.circulant``."""
+    i = np.arange(len(c))
+    return c[(i[:, None] - i) % len(c)]
 
 
 def certified_compressor(grid: GridSpec) -> np.ndarray:

@@ -15,6 +15,9 @@ the 2N eigenvalue nearest each reliable tau = t by inverse iteration on one
 banded LU at sigma = i t, moved off i t only if a pivot is exactly zero (an
 eigenvalue shared by both cutoffs), so a distance is at most 2|sigma - i t|
 above the true one, never below; non-convergence raises LinAlgError naming t.
+The banded LU is LAPACK's zgbtrf/zgbtrs from ``scipy.linalg.lapack``, imported
+inside the certificate: everything else here runs on numpy alone, and
+importing the module does not load scipy.
 
 For a real-valued field (every scalar field, every real symmetric matrix
 field) A_{-k} = conj(A_k), so G commutes with complex conjugation composed
@@ -38,7 +41,6 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .damping import DampingField
 from .geometry import Manifold, mode_lattice
@@ -244,12 +246,14 @@ def solve(field: DampingField, manifold: Manifold, N: int,
     return eigenvalues_tau(gen, reliability_fraction, field=field)
 
 
-def _nearest_tau(ab: np.ndarray, bw: int, t: complex, x: np.ndarray, tol: float) -> complex:
+def _nearest_tau(ab: np.ndarray, bw: int, t: complex, x: np.ndarray, tol: float,
+                 lapack) -> complex:
     """tau of the band matrix eigenvalue nearest i t, by inverse iteration.
 
     sigma = i t moves by a few ulps only while a pivot is exactly zero (one still
     singular fails the residual test); the first solve only aims x, then the
-    estimate sigma + 1 / <x, y> must reach residual tol."""
+    estimate sigma + 1 / <x, y> must reach residual tol.  lapack is
+    ``scipy.linalg.lapack``, imported once per certificate by the caller."""
     for nudge in (0.0, *(np.finfo(float).eps * (1.0 + abs(t)) * 4.0 ** np.arange(8))):
         shift = 1j * t + nudge
         shifted = ab.copy()
@@ -272,11 +276,13 @@ def _fine_distances(field: DampingField, manifold: Manifold, N: int,
                     reliability_fraction: float = DEFAULT_RELIABILITY) -> np.ndarray:
     """Distance from each reliable tau at cutoff N to the nearest one at 2N;
     residuals are held to eps ||A||_1, the backward error of the banded LU."""
+    from scipy.linalg import lapack
+
     coarse = solve(field, manifold, N, reliability_fraction)
     ab, bw = _band(field, mode_lattice(2 * N, manifold.d))
     tol = np.finfo(float).eps * float(np.max(np.sum(np.abs(ab), axis=0)))
     x = np.random.default_rng(0).standard_normal((ab.shape[1], 2)) @ np.array([1.0, 1j])
-    return np.array([abs(_nearest_tau(ab, bw, t, x, tol) - t) for t in coarse.reliable()])
+    return np.array([abs(_nearest_tau(ab, bw, t, x, tol, lapack) - t) for t in coarse.reliable()])
 
 
 def convergence_check(field: DampingField, manifold: Manifold, N: int,

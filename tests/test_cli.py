@@ -1,6 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,3 +577,32 @@ def test_norm_bound_by_cholesky():
     A = U @ np.diag([2.0, 1.5, 1.0, 0.5, 0.2, 0.0]) @ V.conj().T  # ||A||_2 = 2
     assert _norm_at_most(A, 2.0 * (1 + 1e-9))
     assert not _norm_at_most(A, 2.0 * (1 - 1e-9))
+
+
+def test_the_six_commands_run_without_scipy(tmp_path):
+    # scipy is loaded only inside convergence_check and factorization_residual; one fresh
+    # interpreter imports the package, runs every command and lists the scipy modules loaded
+    jobs = [[command, write_cfg(tmp_path, base, f"{command}.json"), str(tmp_path / command)]
+            for command, base in [("spectrum", CONSTANT), ("weyl", CONSTANT), ("bands", CONSTANT),
+                                  ("lyapunov", CONSTANT), ("decay", EVOLUTION),
+                                  ("quantize-check", QUANTIZE)]]
+    script = textwrap.dedent("""
+        import json, sys
+        import dampedwave
+        from dampedwave.cli import main
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        after_import = scipy_modules()
+        codes = [main([c, "--config", cfg, "--out", out]) for c, cfg, out in json.loads(sys.argv[1])]
+        print(json.dumps({"after_import": after_import, "codes": codes,
+                          "after_run": scipy_modules()}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * len(jobs), done.stderr
+    assert got["after_import"] == [] and got["after_run"] == []

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant as scipy_circulant
 
 from dampedwave.quantize import (
     NODE_SPACING,
@@ -390,6 +391,17 @@ def _one_call_symbols(h):
             **{s.label: s.mollified(h) for s in (symbol_one(), symbol_harmonic(), symbol_cos_x())},
             "cocycle_n1": cocycle_symbol(random_field(1, 1, 0.6, seed=3), 0.1, dt=0.05),
             "cocycle_n2": cocycle_symbol(random_field(2, 1, 0.6, seed=3), 0.1, dt=0.05)}
+
+
+@pytest.mark.parametrize("h, Lbox", [(0.1, 5.0), (0.05, 8.0)])
+def test_circulant_gathers_the_scipy_circulant(monkeypatch, h, Lbox):
+    # the grids have 177 and 488 points: an odd and an even side
+    grid = GridSpec.build(Lbox, h)
+    c = np.random.default_rng(5).standard_normal((grid.points, 2)) @ np.array([1.0, 1j])
+    assert np.array_equal(quantize.circulant(c), scipy_circulant(c))
+    got = certified_compressor(grid)
+    monkeypatch.setattr(quantize, "circulant", scipy_circulant)
+    assert np.array_equal(got, certified_compressor(grid))
 
 
 @pytest.mark.parametrize("build", ["antiwick", "weyl", "circle"])
