@@ -2,9 +2,9 @@
 
 Supported geometries are the circle R/2piZ and flat tori (R/2piZ)^d.  The
 kinetic symbol is p(x, xi) = |xi|^2, whose Hamiltonian flow is the straight
-line x_t = x_0 + 2 xi_0 t with constant momentum (geodesic flow travelled at
-twice unit speed).  Because the flow is closed form there is no ODE solver
-in this module; everything is exact.
+line x_t = x_0 + 2 xi_0 t with constant momentum: speed 2|xi|, so the shell
+|xi|^2 = 1/4 moves at the wave speed 1.  Because the flow is closed form
+there is no ODE solver in this module; everything is exact.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Finite-time cocycle bounds, Lyapunov spectra and essential band edges.
 
-Two families of rates are estimated from the same trajectories:
+Two families of rates are estimated from the same trajectories, rays at the
+wave speed 1 (the shell |xi|^2 = SHELL_ENERGY = 1/4 of the flow x + 2 xi t):
 
 * uniform bounds: c_minus = -(1/T) max log ||G_T||_2 and
   c_plus = -(1/T) min log sigma_min(G_T) over energy-shell samples, whose
@@ -37,7 +38,7 @@ DEFAULT_HORIZON = 200.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLES = 64
 DEFAULT_RENORM_EVERY = 250
-SHELL_ENERGY = 0.5
+SHELL_ENERGY = 0.25
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import evolution, spectrum
+from dampedwave import cli, evolution, lyapunov, quantize, spectrum
 from dampedwave.cli import main
 from dampedwave.damping import DampingField, random_field
 from dampedwave.geometry import sample_shell
@@ -81,6 +81,33 @@ def test_bands_constant_field(tmp_path, capsys):
     assert "re_min" in table
 
 
+#: a(x) = 1.2 I + 1.2 [[cos 2x, sin 2x], [sin 2x, -cos 2x]], whose eigenvalues 0 and 2.4 rotate
+ROTATING = {"n": 2, "d": 1, "K": 2, "coeffs": [
+    {"k": [0], "re": [[1.2, 0.0], [0.0, 1.2]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    {"k": [2], "re": [[0.6, 0.0], [0.0, -0.6]], "im": [[0.0, -0.6], [-0.6, 0.0]]},
+    {"k": [-2], "re": [[0.6, 0.0], [0.0, -0.6]], "im": [[0.0, 0.6], [0.6, 0.0]]}]}
+
+
+def test_bands_follow_the_unit_speed_exponents_of_a_rotating_field(tmp_path):
+    # at the wave speed 1 the Floquet exponents are -(1.2 +- sqrt(0.44)); the spectrum
+    # follows those lines, not the Birkhoff edges 0 and 2.4 of the eigenvalues of a
+    cfg = {"manifold": {"kind": "circle", "d": 1}, "damping": {"field": ROTATING},
+           "solver": {"N": 128},
+           "analysis": {"epsilon": 0.1, "window_width": 1.0, "dump_points": True},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["bands", "--config", write_cfg(tmp_path, cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "band_report.json").read_text())
+    lines = np.array([1.2 + math.sqrt(0.44), 1.2 - math.sqrt(0.44)])
+    assert abs(doc["lambda_minus"] + lines[0]) < 1e-9 and abs(doc["lambda_plus"] + lines[1]) < 1e-9
+    beyond = [w for w in doc["windows"] if w["re_min"] >= 8.0]
+    assert beyond and sum(w["outliers_above"] + w["outliers_below"] for w in beyond) == 0
+    re, im = np.loadtxt(tmp_path / "out" / "spectrum.dat").T
+    far = im[re >= 16.0]
+    assert far.size > 0
+    assert np.max(np.min(np.abs(far[:, None] - lines), axis=1)) < 0.01
+    assert np.min(np.abs(far[:, None] - [0.0, 2.4])) > 0.4
+
+
 def test_artifacts_are_deterministic(tmp_path):
     cfg = dict(CONSTANT, output={"dir": str(tmp_path / "a")})
     path = write_cfg(tmp_path, cfg)
@@ -107,7 +134,7 @@ def test_lyapunov_command(tmp_path):
     diag = doc["diagnostics"]
     assert diag["source"] == "floquet"
     assert doc["c_minus"] == -doc["lambda_plus"] and doc["c_plus"] == -doc["lambda_minus"]
-    assert doc["T"] == diag["period"] == pytest.approx(math.pi * math.sqrt(2.0))
+    assert doc["T"] == diag["period"] == pytest.approx(2.0 * math.pi)
     assert doc["m"] == 2
     assert 0.0 <= diag["step_error"] < 1e-8
 
@@ -153,7 +180,7 @@ def test_lyapunov_torus_reads_qr(tmp_path):
     est = band_estimates(f, T=5.0, m=3, dt=0.002, seed=2)
     assert doc["diagnostics"]["source"] == "qr"
     # the CLI adds the step error of the two edge samples rerun at dt/2
-    points = sample_shell(3, 0.5, d=2, seed=2)
+    points = sample_shell(3, lyapunov.SHELL_ENERGY, d=2, seed=2)
     lo, hi = est.diagnostics["lambda_minus_sample"], est.diagnostics["lambda_plus_sample"]
     half_lo = lyapunov_spectrum(f, points[lo], 5.0, 0.001).exponents[0]
     half_hi = lyapunov_spectrum(f, points[hi], 5.0, 0.001).exponents[-1]
@@ -361,6 +388,24 @@ def test_quantize_check_command(tmp_path):
     assert checks["norm_bound_pass"] and checks["mollified_pass"]
 
 
+@pytest.mark.parametrize("perturb", [lambda A: (1 + 1e-4) * A,
+                                     lambda A: A + 1e-2j * np.eye(len(A))],
+                         ids=["scaled", "anti_hermitian"])
+def test_quantize_check_fails_a_probe_operator_above_its_sup(tmp_path, monkeypatch, perturb):
+    # ||Op_AW(1)||_2 is sup |1| = 1 to 1.6e-15; scaled by 1 + 1e-4, or plus 1e-2 i I, which
+    # leaves the Hermitian part as it was, its norm is above 1 + 1e-6 and the bound must fail
+    probes = cli._psd_probe_symbols()
+    build = quantize.antiwick_build
+    monkeypatch.setattr(cli, "_psd_probe_symbols", lambda: probes)
+    monkeypatch.setattr(quantize, "antiwick_build", lambda sym, grid: (
+        perturb(build(sym, grid)) if any(sym is p for p in probes) else build(sym, grid)))
+    cfg = dict(QUANTIZE, output={"dir": str(tmp_path / "out")})
+    assert main(["quantize-check", "--config", write_cfg(tmp_path, cfg)]) == 2
+    checks = json.loads((tmp_path / "out" / "quantize.json").read_text())["checks"]
+    assert not checks["norm_bound_pass"]
+    assert checks["identity_pass"] and checks["positivity_pass"] and checks["mollified_pass"]
+
+
 QUANTIZE = {"quantize": {"h": 0.1, "L": 5.0}}
 
 
@@ -566,17 +611,6 @@ def test_bad_numbers_in_config_are_diagnosed(tmp_path, capsys, command, base, se
     assert captured.err.startswith(f"error: config {section}.{key} must be")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
-
-
-def test_norm_bound_by_cholesky():
-    from dampedwave.cli import _norm_at_most
-
-    rng = np.random.default_rng(4)
-    U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    V, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    A = U @ np.diag([2.0, 1.5, 1.0, 0.5, 0.2, 0.0]) @ V.conj().T  # ||A||_2 = 2
-    assert _norm_at_most(A, 2.0 * (1 + 1e-9))
-    assert not _norm_at_most(A, 2.0 * (1 - 1e-9))
 
 
 def test_the_six_commands_run_without_scipy(tmp_path):

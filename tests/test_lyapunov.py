@@ -137,6 +137,19 @@ def test_floquet_closed_forms():
         floquet_exponents(f, ORBITS, 0.0)
 
 
+def test_floquet_exponents_of_a_rotating_field_at_unit_speed():
+    # a(x) = 1.2 I + 1.2 [[cos 2x, sin 2x], [sin 2x, -cos 2x]] = R(x) diag(0, 2.4) R(x)^T; in
+    # the frame R^T G the cocycle along a ray of speed v has constant coefficients, with
+    # exponents -(1.2 +- sqrt(1.44 - v^2)) for v < 1.2 and -1.2 twice for v >= 1.2
+    A2 = 0.6 * np.array([[1.0, -1j], [-1j, -1.0]])
+    f = DampingField(2, 1, {(0,): 1.2 * np.eye(2, dtype=complex), (2,): A2, (-2,): A2.conj().T})
+    xi = math.sqrt(lyapunov.SHELL_ENERGY)  # the shell rays x + 2 xi t run at the wave speed 1
+    orbits = [PhasePoint((0.0,), (xi,)), PhasePoint((0.0,), (-xi,))]
+    exps = floquet_exponents(f, orbits, math.pi / xi)
+    assert np.max(np.abs(exps - [-1.2 - math.sqrt(0.44), -1.2 + math.sqrt(0.44)])) < 1e-9
+    assert math.pi / xi == 2.0 * math.pi
+
+
 @pytest.mark.parametrize("field", [stiff_field(), random_field(2, 1, 0.6, seed=5),
                                    random_field(3, 1, 0.6, seed=19)],
                          ids=["stiff", "n2_seed5", "n3_seed19"])
@@ -208,7 +221,7 @@ def test_rates_never_invert(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     f = random_field(3, 1, amplitude=0.6, seed=19)
-    pts = sample_shell(3, 0.5, seed=0)
+    pts = sample_shell(3, lyapunov.SHELL_ENERGY, seed=0)
     fb = finite_time_bounds(f, 4.0, pts, dt=1e-2)
     est = band_estimates(f, T=4.0, m=3, dt=1e-2, seed=0)
     assert abs(est.c_minus - fb.c_minus) < 1e-12
@@ -351,7 +364,7 @@ def test_cadence_is_clamped_to_the_safe_group_length(monkeypatch):
                            axis=1)[0]
     log_det = np.sum(np.log(np.abs(np.linalg.det(steps)))) / 20.0
     assert abs(exterior_sums(f, POINT, 20.0, 5e-3, 2) - log_det) < 1e-9
-    assert abs(finite_time_bounds(f, 1.0, sample_shell(2, 0.5, seed=0), 5e-3).c_plus
+    assert abs(finite_time_bounds(f, 1.0, sample_shell(2, lyapunov.SHELL_ENERGY, seed=0), 5e-3).c_plus
                - c_plus_cadence) < 1e-9
     floquet = floquet_exponents(f, ORBITS, PERIOD, 5e-3)
     monkeypatch.setattr(lyapunov, "_DEFAULT_GROUP", 1)
